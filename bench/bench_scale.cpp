@@ -92,7 +92,7 @@ void BM_IndexFanout(benchmark::State& state) {
   }
 
   std::vector<SubscriberId> out;
-  std::vector<InternedName> scratch;
+  InterestIndex::FanoutScratch scratch;
   std::uint64_t published = 0;
   std::size_t matched = 0;
   for (auto _ : state) {

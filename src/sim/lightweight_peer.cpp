@@ -1,5 +1,6 @@
 #include "sim/lightweight_peer.hpp"
 
+#include <algorithm>
 #include <utility>
 #include <variant>
 
@@ -37,6 +38,8 @@ LightweightPeer::LightweightPeer(std::uint32_t index, transport::Transport& netw
       known_(universe.type_count(), false),
       loaded_(universe.type_count(), false),
       use_sessions_(use_sessions),
+      intro_sent_(universe.type_count()),
+      session_known_(universe.type_count()),
       intro_registry_(intro_registry) {}
 
 LightweightPeer::~LightweightPeer() {
@@ -66,6 +69,17 @@ void LightweightPeer::leave() {
   live_ = false;
 }
 
+std::size_t LightweightPeer::SessionBits::row(std::uint64_t peer) {
+  const auto next = static_cast<std::uint32_t>(rows_.size());
+  const auto [row, inserted] = rows_.try_emplace(peer, next);
+  if (inserted) bits_.resize(bits_.size() + words_, 0);
+  return row;
+}
+
+void LightweightPeer::SessionBits::clear(std::size_t row) noexcept {
+  std::fill_n(bits_.begin() + static_cast<std::ptrdiff_t>(row * words_), words_, 0);
+}
+
 SessionPush LightweightPeer::build_session_entry(const std::string& target,
                                                  std::uint32_t family, bool fresh) {
   SessionPush push;
@@ -77,15 +91,14 @@ SessionPush LightweightPeer::build_session_entry(const std::string& target,
     SessionIntro intro;
     intro.wire_id = family + 1;
     intro.type_name = universe_.publisher_type_name(family);
-    intro.description_xml = universe_.description_xml(family);
+    // A target that advertised this hash earlier (to us or to any other
+    // sender) gets the wire binding without the XML.
+    if (intro_registry_ == nullptr ||
+        !intro_registry_->knows(target, universe_.description_hash(family))) {
+      intro.description_xml = universe_.description_xml(family);
+    }
     intro.assembly_name = universe_.assembly_name(family);
     intro.download_path = "net://origin/" + universe_.assembly_name(family);
-    if (intro_registry_ != nullptr &&
-        intro_registry_->knows(target, universe_.description_hash(family))) {
-      // The target advertised this hash earlier (to us or to any other
-      // sender): the wire binding still crosses, the XML does not.
-      intro.description_xml.clear();
-    }
     push.intros.push_back(std::move(intro));
     if (mode_ == transport::ProtocolMode::Eager) {
       push.intro_assembly_names.push_back(universe_.assembly_name(family));
@@ -95,30 +108,29 @@ SessionPush LightweightPeer::build_session_entry(const std::string& target,
   return push;
 }
 
-LightweightPeer::PushOutcome LightweightPeer::publish_session(const std::string& target,
+LightweightPeer::PushOutcome LightweightPeer::publish_session(const LightweightPeer& target,
                                                               std::uint32_t family) {
   // Publishing makes us the origin: we hold the description and code.
   known_[family] = true;
   loaded_[family] = true;
-  std::vector<bool>& sent = intro_sent_[target];
-  if (sent.empty()) sent.assign(universe_.type_count(), false);
+  const std::size_t sent = intro_sent_.row(target.index());
 
   for (int attempt = 0; attempt < 2; ++attempt) {
-    const bool fresh = !sent[family];
-    SessionPush push = build_session_entry(target, family, fresh);
+    const bool fresh = !intro_sent_.test(sent, family);
+    SessionPush push = build_session_entry(target.name(), family, fresh);
     ++counters_.pushes_sent;
     try {
-      const Message response = network_.send(Message{name_, target, std::move(push)});
+      const Message response = network_.send(Message{name_, target.name(), std::move(push)});
       if (const auto* ack = std::get_if<SessionAck>(&response.payload)) {
         if (intro_registry_ != nullptr) {
-          intro_registry_->record_all(target, ack->known_desc_hashes);
+          intro_registry_->record_all(target.name(), ack->known_desc_hashes);
         }
         if (ack->status == SessionStatus::Reset) {
           // The receiver lost the session: replay once with the intro.
-          sent.assign(universe_.type_count(), false);
+          intro_sent_.clear(sent);
           continue;
         }
-        if (fresh) sent[family] = true;  // commit-on-ack
+        if (fresh) intro_sent_.set(sent, family);  // commit-on-ack
         PushOutcome outcome{ack->delivered, false, kNoInterest};
         if (ack->delivered) outcome.matched = universe_.interest_by_type_name(ack->detail);
         return outcome;
@@ -131,60 +143,60 @@ LightweightPeer::PushOutcome LightweightPeer::publish_session(const std::string&
   return PushOutcome{false, true, kNoInterest};  // reset twice: give up on this push
 }
 
-std::vector<LightweightPeer::PushOutcome> LightweightPeer::publish_batch_to(
-    const std::string& target, const std::vector<std::uint32_t>& families) {
-  std::vector<PushOutcome> out(families.size(), PushOutcome{false, true, kNoInterest});
-  if (families.empty()) return out;
-  std::vector<bool>& sent = intro_sent_[target];
-  if (sent.empty()) sent.assign(universe_.type_count(), false);
+void LightweightPeer::publish_batch_to(const LightweightPeer& target,
+                                       const std::vector<std::uint32_t>& families,
+                                       std::vector<PushOutcome>& out) {
+  out.assign(families.size(), PushOutcome{false, true, kNoInterest});
+  if (families.empty()) return;
+  const std::size_t sent = intro_sent_.row(target.index());
 
   // Plans are built at flush time, exactly like transport::Peer's window:
   // the FIRST entry for a family carries the intro, later entries in the
   // same frame ride the binding the receiver learns while processing it.
   SessionBatch batch;
   batch.entries.reserve(families.size());
-  std::vector<bool> fresh(families.size(), false);
-  std::vector<bool> introduced_now(universe_.type_count(), false);
+  batch_fresh_.assign(families.size(), false);
   for (std::size_t i = 0; i < families.size(); ++i) {
     const std::uint32_t family = families[i];
     known_[family] = true;
     loaded_[family] = true;
-    fresh[i] = !sent[family] && !introduced_now[family];
-    if (fresh[i]) introduced_now[family] = true;
-    batch.entries.push_back(build_session_entry(target, family, fresh[i]));
+    // A frame holds at most session_batch entries, so the scan is short.
+    const auto earlier = families.begin() + static_cast<std::ptrdiff_t>(i);
+    batch_fresh_[i] = !intro_sent_.test(sent, family) &&
+                      std::find(families.begin(), earlier, family) == earlier;
+    batch.entries.push_back(build_session_entry(target.name(), family, batch_fresh_[i]));
     ++counters_.pushes_sent;
   }
 
   try {
-    const Message response = network_.send(Message{name_, target, std::move(batch)});
+    const Message response = network_.send(Message{name_, target.name(), std::move(batch)});
     const auto* back = std::get_if<SessionBatchAck>(&response.payload);
     if (back == nullptr || back->entries.size() != families.size()) {
-      return out;  // in-band fault (ErrorReply) or malformed ack: all dropped
+      return;  // in-band fault (ErrorReply) or malformed ack: all dropped
     }
     for (std::size_t i = 0; i < families.size(); ++i) {
       const SessionAck& ack = back->entries[i];
       if (intro_registry_ != nullptr) {
-        intro_registry_->record_all(target, ack.known_desc_hashes);
+        intro_registry_->record_all(target.name(), ack.known_desc_hashes);
       }
       if (ack.status == SessionStatus::Reset) {
         // This slot lost the session: replay it individually with intros,
         // leaving every other slot's verdict untouched.
-        sent.assign(universe_.type_count(), false);
+        intro_sent_.clear(sent);
         --counters_.pushes_sent;  // publish_session recounts the replay
         out[i] = publish_session(target, families[i]);
         continue;
       }
-      if (fresh[i]) sent[families[i]] = true;  // commit-on-ack, per slot
+      if (batch_fresh_[i]) intro_sent_.set(sent, families[i]);  // commit-on-ack, per slot
       out[i] = PushOutcome{ack.delivered, false, kNoInterest};
       if (ack.delivered) out[i].matched = universe_.interest_by_type_name(ack.detail);
     }
-    return out;
   } catch (const pti::Error&) {
-    return out;  // the whole frame dropped: every entry is a drop
+    // The whole frame dropped: every entry is a drop.
   }
 }
 
-LightweightPeer::PushOutcome LightweightPeer::publish_to(const std::string& target,
+LightweightPeer::PushOutcome LightweightPeer::publish_to(const LightweightPeer& target,
                                                          std::uint32_t family) {
   if (use_sessions_) return publish_session(target, family);
   ObjectPush push;
@@ -199,7 +211,7 @@ LightweightPeer::PushOutcome LightweightPeer::publish_to(const std::string& targ
   loaded_[family] = true;
   ++counters_.pushes_sent;
   try {
-    const Message response = network_.send(Message{name_, target, std::move(push)});
+    const Message response = network_.send(Message{name_, target.name(), std::move(push)});
     if (const auto* ack = std::get_if<PushAck>(&response.payload)) {
       return PushOutcome{ack->delivered, false};
     }
@@ -281,15 +293,15 @@ SessionAck LightweightPeer::process_session_push(const std::string& sender,
   ++counters_.pushes_received;
   last_matched_ = kNoInterest;
 
-  std::vector<bool>& wire_known = session_known_[sender];
-  if (wire_known.empty()) wire_known.assign(universe_.type_count(), false);
+  // The session token is the sender's index + 1: one row per sender.
+  const std::size_t wire_known = session_known_.row(push.token);
   // Descriptions that actually crossed the wire in this push get their
   // hashes advertised back, so ANY sender can skip those bytes next time.
   std::vector<std::uint64_t> advertised;
   for (const SessionIntro& intro : push.intros) {
     const std::uint32_t f = universe_.type_by_name(intro.type_name);
     if (f != TypeUniverse::kNoType && intro.wire_id == f + 1) {
-      wire_known[f] = true;
+      session_known_.set(wire_known, f);
       known_[f] = true;
       if (!intro.description_xml.empty()) {
         advertised.push_back(universe_.description_hash(f));
@@ -310,7 +322,8 @@ SessionAck LightweightPeer::process_session_push(const std::string& sender,
     return SessionAck{SessionStatus::Ok, false, "no object types", std::move(advertised)};
   }
   const std::uint32_t wire = push.wire_types.front();
-  if (wire == 0 || wire > universe_.type_count() || !wire_known[wire - 1]) {
+  if (wire == 0 || wire > universe_.type_count() ||
+      !session_known_.test(wire_known, wire - 1)) {
     // A Reset ack carries the full known-description set: the sender's
     // replay can skip every description this receiver already holds.
     advertised.clear();

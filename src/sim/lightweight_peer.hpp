@@ -3,7 +3,8 @@
 // Where transport::Peer carries a Domain, checker, serializer registry,
 // proxy factory and per-peer caches (~tens of KB plus per-message XML
 // work), a LightweightPeer carries two bitsets and a counter block
-// (~hundreds of bytes), which is what makes 10^5-10^6 of them tractable.
+// (~hundreds of bytes) plus, in session mode, one bitset row per session
+// partner, which is what makes 10^5-10^6 of them tractable.
 // What it does NOT lighten is the protocol: it attaches to the same
 // Transport seam, exchanges the same ObjectPush/TypeInfoRequest/
 // CodeRequest messages with real envelope bytes and real description XML
@@ -25,7 +26,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/type_universe.hpp"
@@ -33,6 +33,7 @@
 #include "transport/intro_registry.hpp"
 #include "transport/peer.hpp"
 #include "transport/transport.hpp"
+#include "util/flat_id_map.hpp"
 
 namespace pti::sim {
 
@@ -90,14 +91,15 @@ class LightweightPeer {
     std::uint32_t matched = kNoInterest;
   };
   /// Publishes family `family` to `target` (one full protocol exchange).
-  PushOutcome publish_to(const std::string& target, std::uint32_t family);
+  PushOutcome publish_to(const LightweightPeer& target, std::uint32_t family);
   /// Publishes several families to `target` as ONE SessionBatch frame
   /// (session mode only). Entries are processed by the receiver in order
   /// and acked positionally; a Reset slot is replayed individually, so a
-  /// refused entry never desynchronises the rest. Per-entry outcomes come
-  /// back in input order.
-  std::vector<PushOutcome> publish_batch_to(const std::string& target,
-                                            const std::vector<std::uint32_t>& families);
+  /// refused entry never desynchronises the rest. Per-entry outcomes land
+  /// in `out`, in input order.
+  void publish_batch_to(const LightweightPeer& target,
+                        const std::vector<std::uint32_t>& families,
+                        std::vector<PushOutcome>& out);
 
   /// Interest family matched by the most recent accepted push delivered
   /// TO this peer (kNoInterest when the last push was rejected). Valid
@@ -126,7 +128,28 @@ class LightweightPeer {
   [[nodiscard]] transport::SessionPush build_session_entry(const std::string& target,
                                                            std::uint32_t family,
                                                            bool fresh);
-  PushOutcome publish_session(const std::string& target, std::uint32_t family);
+  PushOutcome publish_session(const LightweightPeer& target, std::uint32_t family);
+
+  /// One bitset over the universe's families per session peer, keyed by
+  /// scenario-local peer index; the rows live in one contiguous array.
+  class SessionBits {
+   public:
+    explicit SessionBits(std::size_t families) : words_((families + 63) / 64) {}
+    /// The row of `peer`, all clear on first use.
+    [[nodiscard]] std::size_t row(std::uint64_t peer);
+    [[nodiscard]] bool test(std::size_t row, std::uint32_t family) const noexcept {
+      return ((bits_[row * words_ + family / 64] >> (family % 64)) & 1U) != 0;
+    }
+    void set(std::size_t row, std::uint32_t family) noexcept {
+      bits_[row * words_ + family / 64] |= std::uint64_t{1} << (family % 64);
+    }
+    void clear(std::size_t row) noexcept;
+
+   private:
+    std::size_t words_;
+    util::FlatIdMap rows_;  ///< peer -> row
+    std::vector<std::uint64_t> bits_;
+  };
 
   std::uint32_t index_;
   std::string name_;
@@ -149,11 +172,14 @@ class LightweightPeer {
   /// Session mode: pushes travel as SessionPush frames (wire id = family
   /// index + 1, token = peer index + 1 — both scenario-local, digest-safe).
   /// Sender side tracks which families each target acknowledged an intro
-  /// for (commit-on-ack); receiver side mirrors which wire ids each sender
-  /// introduced. Both survive leave/rejoin, exactly like known_/loaded_.
+  /// for (commit-on-ack), by target index; receiver side mirrors which wire
+  /// ids each sender introduced, by session token. Both survive
+  /// leave/rejoin, exactly like known_/loaded_.
   bool use_sessions_ = false;
-  std::unordered_map<std::string, std::vector<bool>> intro_sent_;
-  std::unordered_map<std::string, std::vector<bool>> session_known_;
+  SessionBits intro_sent_;
+  SessionBits session_known_;
+  /// Per-entry "carries an intro" flags of the frame being planned.
+  std::vector<bool> batch_fresh_;
   /// Scenario-shared intro registry (owned by the hub): receivers advertise
   /// description hashes in their acks; senders consult it to elide intro
   /// description bytes a target already holds. Byte-saving hint only —

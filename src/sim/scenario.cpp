@@ -223,9 +223,18 @@ void Scenario::fire_publish() {
     for (const transport::SubscriberId sub : target_scratch_) {
       const std::uint32_t target = sub_to_peer_[sub];
       ++stats_.deliveries;
-      pending_deliveries_.push_back({publisher, target, family});
+      const auto slot = static_cast<std::uint32_t>(pending_deliveries_.size());
+      pending_deliveries_.push_back({publisher, target, family, kNoDelivery, {}});
       const std::uint64_t key = (std::uint64_t{publisher} << 32) | target;
-      if (++pending_pair_counts_[key] >= config_.session_batch) full = true;
+      const auto next = static_cast<std::uint32_t>(pending_pairs_.size());
+      const auto [ordinal, first_touch] = pending_pair_of_.try_emplace(key, next);
+      if (first_touch) {
+        pending_pairs_.push_back({slot, slot, 0});
+      } else {
+        pending_deliveries_[pending_pairs_[ordinal].tail].next = slot;
+        pending_pairs_[ordinal].tail = slot;
+      }
+      if (++pending_pairs_[ordinal].count >= config_.session_batch) full = true;
     }
     if (full) flush_session_batches();
     return;
@@ -235,7 +244,7 @@ void Scenario::fire_publish() {
     const std::uint32_t target = sub_to_peer_[sub];
     ++stats_.deliveries;
     const LightweightPeer::PushOutcome outcome =
-        peers_[publisher]->publish_to(peers_[target]->name(), family);
+        peers_[publisher]->publish_to(*peers_[target], family);
     mix_delivery(target, family, outcome,
                  outcome.delivered ? peers_[target]->last_matched_interest()
                                    : LightweightPeer::kNoInterest);
@@ -268,45 +277,36 @@ void Scenario::mix_delivery(std::uint32_t target, std::uint32_t family,
 
 void Scenario::flush_session_batches() {
   if (pending_deliveries_.empty()) return;
-  // Group by (publisher, target) in first-touch order. The frames go out
-  // group by group, but the digests fold in ORIGINAL delivery order below
-  // — batching regroups the wire, never the verdict stream.
-  std::vector<std::uint64_t> order;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < pending_deliveries_.size(); ++i) {
-    const PendingDelivery& d = pending_deliveries_[i];
-    const std::uint64_t key = (std::uint64_t{d.publisher} << 32) | d.target;
-    const auto [it, inserted] = groups.try_emplace(key);
-    if (inserted) order.push_back(key);
-    it->second.push_back(i);
-  }
-
-  std::vector<LightweightPeer::PushOutcome> outcomes(pending_deliveries_.size());
-  std::vector<std::uint32_t> families;
-  for (const std::uint64_t key : order) {
-    const std::vector<std::size_t>& slots = groups[key];
-    for (std::size_t base = 0; base < slots.size(); base += config_.session_batch) {
-      const std::size_t count = std::min(config_.session_batch, slots.size() - base);
-      families.clear();
-      for (std::size_t k = 0; k < count; ++k) {
-        families.push_back(pending_deliveries_[slots[base + k]].family);
+  // Frames go out pair by pair in first-touch order, each pair's chain cut
+  // into chunks of session_batch; the digests fold in ORIGINAL delivery
+  // order below — batching regroups the wire, never the verdict stream.
+  for (const PendingPair& pair : pending_pairs_) {
+    for (std::uint32_t slot = pair.head; slot != kNoDelivery;) {
+      frame_slots_.clear();
+      frame_families_.clear();
+      for (; slot != kNoDelivery && frame_slots_.size() < config_.session_batch;
+           slot = pending_deliveries_[slot].next) {
+        frame_slots_.push_back(slot);
+        frame_families_.push_back(pending_deliveries_[slot].family);
       }
-      const PendingDelivery& head = pending_deliveries_[slots[base]];
-      const std::vector<LightweightPeer::PushOutcome> out =
-          peers_[head.publisher]->publish_batch_to(peers_[head.target]->name(), families);
-      for (std::size_t k = 0; k < count; ++k) outcomes[slots[base + k]] = out[k];
+      const PendingDelivery& head = pending_deliveries_[frame_slots_.front()];
+      peers_[head.publisher]->publish_batch_to(*peers_[head.target], frame_families_,
+                                               frame_outcomes_);
+      for (std::size_t k = 0; k < frame_slots_.size(); ++k) {
+        pending_deliveries_[frame_slots_[k]].outcome = frame_outcomes_[k];
+      }
       ++stats_.session_batch_frames;
-      stats_.session_batch_entries += count;
+      stats_.session_batch_entries += frame_slots_.size();
     }
   }
 
-  for (std::size_t i = 0; i < pending_deliveries_.size(); ++i) {
-    const PendingDelivery& d = pending_deliveries_[i];
-    mix_delivery(d.target, d.family, outcomes[i], outcomes[i].matched);
+  for (const PendingDelivery& d : pending_deliveries_) {
+    mix_delivery(d.target, d.family, d.outcome, d.outcome.matched);
     maybe_reclaim();
   }
   pending_deliveries_.clear();
-  pending_pair_counts_.clear();
+  pending_pairs_.clear();
+  pending_pair_of_.clear();
 }
 
 void Scenario::fire_churn_leave() {
@@ -361,12 +361,17 @@ void Scenario::match_targets(std::uint32_t family, transport::SubscriberId publi
   if (config_.use_inverted_index) {
     // Route through the shared engine: one scan over DISTINCT interests,
     // then a posting-list walk per match.
+    // Only the fanout_cap + 1 smallest ids can survive the publisher's
+    // removal and the cap below, so the index selects just those.
+    const std::size_t limit = config_.fanout_cap == transport::InterestIndex::kWholeUnion
+                                  ? config_.fanout_cap
+                                  : config_.fanout_cap + 1;
     hub_.interests().collect_matches(
         [&](const transport::InterestEntry& entry) {
           const std::uint32_t interest = universe_->interest_of_id(entry.interest);
           return interest != TypeUniverse::kNoType && universe_->group_of(interest) == group;
         },
-        out, interest_scratch_);
+        out, fanout_scratch_, limit);
   } else {
     // Baseline (pre-index shape): visit EVERY live peer's own interest
     // list — O(population) per publish regardless of how few types match.

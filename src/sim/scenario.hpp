@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/event_loop.hpp"
@@ -39,6 +38,7 @@
 #include "sim/type_universe.hpp"
 #include "transport/assembly_hub.hpp"
 #include "transport/sim_network.hpp"
+#include "util/flat_id_map.hpp"
 #include "util/hash.hpp"
 
 namespace pti::sim {
@@ -194,17 +194,33 @@ class Scenario {
   std::vector<double> zipf_cdf_;
 
   std::vector<transport::SubscriberId> target_scratch_;
-  std::vector<util::InternedName> interest_scratch_;
+  transport::InterestIndex::FanoutScratch fanout_scratch_;
 
-  /// Deferred-delivery window for batched session mode.
+  /// Deferred-delivery window for batched session mode. Each (publisher,
+  /// target) pair's deliveries form a chain through `next`, in delivery
+  /// order; the pairs themselves are kept in first-touch order.
+  static constexpr std::uint32_t kNoDelivery = 0xFFFFFFFFu;
   struct PendingDelivery {
     std::uint32_t publisher;
     std::uint32_t target;
     std::uint32_t family;
+    std::uint32_t next = kNoDelivery;  ///< the pair's next delivery
+    LightweightPeer::PushOutcome outcome;
+  };
+  struct PendingPair {
+    std::uint32_t head;   ///< first delivery of the pair
+    std::uint32_t tail;   ///< last delivery of the pair
+    std::size_t count;
   };
   bool defer_deliveries_ = false;  ///< use_sessions && session_batch > 1
   std::vector<PendingDelivery> pending_deliveries_;
-  std::unordered_map<std::uint64_t, std::size_t> pending_pair_counts_;
+  std::vector<PendingPair> pending_pairs_;
+  /// (publisher << 32 | target) -> index into pending_pairs_.
+  util::FlatIdMap pending_pair_of_;
+  /// One frame's worth of flush scratch.
+  std::vector<std::uint32_t> frame_slots_;
+  std::vector<std::uint32_t> frame_families_;
+  std::vector<LightweightPeer::PushOutcome> frame_outcomes_;
 
   std::uint64_t cursor_ns_ = 0;  ///< schedule-time cursor for script phases
   std::size_t since_reclaim_ = 0;

@@ -1,6 +1,7 @@
 #include "transport/interest_index.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "transport/transport_error.hpp"
 #include "util/error.hpp"
@@ -117,26 +118,8 @@ void InterestIndex::PostingList::compact(util::EpochManager& em) {
   em.retire(old_dir);
 }
 
-std::size_t InterestIndex::PostingList::collect(std::vector<std::uint32_t>& out) const {
-  const Dir* dir = dir_.load(std::memory_order_acquire);
-  if (dir == nullptr) return 0;
-  const std::uint32_t n = dir->count.load(std::memory_order_acquire);
-  std::size_t appended = 0;
-  for (std::uint32_t base = 0; base < n; base += kChunkSize) {
-    const Chunk* chunk = dir->chunks[base / kChunkSize].load(std::memory_order_acquire);
-    const std::uint32_t limit = std::min(n - base, kChunkSize);
-    for (std::uint32_t i = 0; i < limit; ++i) {
-      const std::uint32_t v = chunk->slots[i].load(std::memory_order_relaxed);
-      if (v != kTombstone) {
-        out.push_back(v);
-        ++appended;
-      }
-    }
-  }
-  return appended;
-}
-
-void InterestIndex::PostingList::for_each(const std::function<bool(std::uint32_t)>& fn) const {
+template <class Fn>
+void InterestIndex::PostingList::for_each(Fn&& fn) const {
   const Dir* dir = dir_.load(std::memory_order_acquire);
   if (dir == nullptr) return;
   const std::uint32_t n = dir->count.load(std::memory_order_acquire);
@@ -148,6 +131,15 @@ void InterestIndex::PostingList::for_each(const std::function<bool(std::uint32_t
       if (v != kTombstone && !fn(v)) return;
     }
   }
+}
+
+std::size_t InterestIndex::PostingList::collect(std::vector<std::uint32_t>& out) const {
+  const std::size_t before = out.size();
+  for_each([&out](std::uint32_t v) {
+    out.push_back(v);
+    return true;
+  });
+  return out.size() - before;
 }
 
 // ---------------------------------------------------------------------------
@@ -403,19 +395,36 @@ std::size_t InterestIndex::equivalence_candidates(std::uint64_t fingerprint,
 
 std::size_t InterestIndex::collect_matches(
     const std::function<bool(const InterestEntry&)>& accept, std::vector<SubscriberId>& out,
-    std::vector<util::InternedName>& interest_scratch) const {
+    FanoutScratch& scratch, std::size_t limit) const {
   util::EpochManager::Pin pin(epochs_);
-  interest_scratch.clear();
   out.clear();
-  collect_interests(interest_scratch);
-  for (const util::InternedName interest : interest_scratch) {
+  scratch.interests.clear();
+  collect_interests(scratch.interests);
+  // Mark the union: a subscriber under several accepted interests sets
+  // the same bit, and reading the words in order yields ascending ids.
+  std::vector<std::uint64_t>& seen = scratch.seen;
+  std::size_t first_word = std::numeric_limits<std::size_t>::max();
+  std::size_t end_word = 0;
+  for (const util::InternedName interest : scratch.interests) {
     const Posting* posting = find_posting(interest);
     if (posting == nullptr || posting->subscribers.live() == 0) continue;
     if (!accept(InterestEntry{interest, posting->fingerprint})) continue;
-    posting->subscribers.collect(out);
+    posting->subscribers.for_each([&](std::uint32_t sub) {
+      const std::size_t word = sub / 64;
+      if (word >= seen.size()) seen.resize(word + 1, 0);
+      seen[word] |= std::uint64_t{1} << (sub % 64);
+      first_word = std::min(first_word, word);
+      end_word = std::max(end_word, word + 1);
+      return true;
+    });
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  for (std::size_t word = first_word; word < end_word; ++word) {
+    std::uint64_t bits = seen[word];
+    seen[word] = 0;
+    for (; bits != 0 && out.size() < limit; bits &= bits - 1) {
+      out.push_back(static_cast<SubscriberId>(word * 64 + std::countr_zero(bits)));
+    }
+  }
   return out.size();
 }
 

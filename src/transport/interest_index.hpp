@@ -48,6 +48,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -128,13 +129,24 @@ class InterestIndex {
   std::size_t equivalence_candidates(std::uint64_t fingerprint,
                                      std::vector<util::InternedName>& out) const;
 
-  /// The publish-path fan-out: the union of subscribers over every live
-  /// interest accepted by `accept`, sorted and deduplicated into `out`.
-  /// `interest_scratch` is caller-owned scratch (cleared here) so a hot
-  /// publisher loop allocates nothing once warm. Returns |out|.
+  /// Caller-owned scratch for collect_matches, reused across calls so a hot
+  /// publisher loop allocates nothing once warm.
+  struct FanoutScratch {
+    std::vector<util::InternedName> interests;
+    /// One bit per subscriber id; all clear between calls.
+    std::vector<std::uint64_t> seen;
+  };
+
+  static constexpr std::size_t kWholeUnion = std::numeric_limits<std::size_t>::max();
+
+  /// The publish-path fan-out: the `limit` smallest distinct subscribers of
+  /// the union over every live interest accepted by `accept`, ascending, in
+  /// `out` — the whole union, sorted and deduplicated, at kWholeUnion. The
+  /// union is marked in a bitmap over the dense subscriber ids, so a capped
+  /// fan-out never sorts it. Returns |out|.
   std::size_t collect_matches(const std::function<bool(const InterestEntry&)>& accept,
-                              std::vector<SubscriberId>& out,
-                              std::vector<util::InternedName>& interest_scratch) const;
+                              std::vector<SubscriberId>& out, FanoutScratch& scratch,
+                              std::size_t limit = kWholeUnion) const;
 
   /// The manager snapshot readers must pin — callers outside a transport
   /// handler bracket their use of interests_of()/collect results in an
@@ -175,8 +187,10 @@ class InterestIndex {
     /// Snapshot read (caller pinned): appends live values in insertion
     /// order; returns how many were appended.
     std::size_t collect(std::vector<std::uint32_t>& out) const;
-    /// Snapshot read (caller pinned): first live value accepted by `fn`.
-    void for_each(const std::function<bool(std::uint32_t)>& fn) const;
+    /// Snapshot read (caller pinned): calls `fn` on each live value in
+    /// insertion order until it returns false.
+    template <class Fn>
+    void for_each(Fn&& fn) const;
 
     [[nodiscard]] std::uint32_t live() const noexcept {
       return live_.load(std::memory_order_relaxed);

@@ -16,6 +16,11 @@
 // lacks the description falls back to the cold TypeInfoRequest fetch — the
 // registry is a byte-saving hint, never a correctness dependency.
 //
+// Memory: an ack may carry tens of thousands of hashes, so a hostile
+// receiver could otherwise grow the sender's process without bound. Each
+// receiver's set is capped; hashes past the cap are ignored, which costs
+// only that receiver re-shipped description bytes.
+//
 // Thread safety: fully thread-safe (one mutex; all operations are short).
 #pragma once
 
@@ -30,19 +35,21 @@ namespace pti::transport {
 
 class IntroRegistry {
  public:
-  /// Records that `receiver` holds the description whose canonical XML
-  /// hashes (FNV-64) to `hash`.
-  void record(const std::string& receiver, std::uint64_t hash) {
-    std::scoped_lock lock(mutex_);
-    known_[receiver].insert(hash);
-  }
+  /// Hashes kept per receiver: far above what any honest receiver in the
+  /// tests, benches or megasim advertises (a storm receiver holds at most
+  /// 64 descriptions; a Peer's Reset ack carries at most 256 hashes).
+  static constexpr std::size_t kMaxHashesPerReceiver = 4096;
 
-  /// Folds a receiver's advertised hash set in (one SessionAck's worth).
+  /// Records that `receiver` holds the descriptions whose canonical XML
+  /// hashes (FNV-64) to `hashes` — one SessionAck's advertisement.
   void record_all(const std::string& receiver, const std::vector<std::uint64_t>& hashes) {
     if (hashes.empty()) return;
     std::scoped_lock lock(mutex_);
     auto& set = known_[receiver];
-    set.insert(hashes.begin(), hashes.end());
+    for (const std::uint64_t hash : hashes) {
+      if (set.size() >= kMaxHashesPerReceiver) break;
+      set.insert(hash);
+    }
   }
 
   [[nodiscard]] bool knows(const std::string& receiver, std::uint64_t hash) const {

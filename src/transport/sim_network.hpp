@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -99,8 +98,10 @@ class SimNetwork final : public Transport {
 
   // Handlers are held by shared_ptr so detach() — even from inside the
   // executing handler itself — never destroys a std::function mid-call;
-  // send() keeps the executing handler alive with a local copy.
-  std::map<std::string, std::shared_ptr<Handler>, util::ICaseLess> handlers_;
+  // send() keeps the executing handler alive with a local copy. Names
+  // collide case-insensitively, like type names.
+  std::unordered_map<std::string, std::shared_ptr<Handler>, util::ICaseHash, util::ICaseEqual>
+      handlers_;
   // Keyed on pair_key(from, to) of interned peer names: charging a message
   // probes with two no-insert symbol lookups instead of concatenating four
   // lowered strings per send.

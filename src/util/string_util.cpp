@@ -1,6 +1,9 @@
 #include "util/string_util.hpp"
 
 #include <algorithm>
+#include <cstdint>
+
+#include "util/hash.hpp"
 
 namespace pti::util {
 
@@ -17,6 +20,15 @@ bool iequals(std::string_view a, std::string_view b) noexcept {
     if (to_lower(a[i]) != to_lower(b[i])) return false;
   }
   return true;
+}
+
+std::size_t ihash(std::string_view s) noexcept {
+  std::uint64_t h = kFnvOffset64;
+  for (const char c : s) {
+    h ^= static_cast<std::uint8_t>(to_lower(c));
+    h *= kFnvPrime64;
+  }
+  return static_cast<std::size_t>(h);
 }
 
 bool iless(std::string_view a, std::string_view b) noexcept {

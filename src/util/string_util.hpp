@@ -32,6 +32,20 @@ struct ICaseLess {
   }
 };
 
+/// Transparent case-insensitive hash and equality for unordered
+/// containers: names differing only in case hash and compare equal.
+[[nodiscard]] std::size_t ihash(std::string_view s) noexcept;
+struct ICaseHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept { return ihash(s); }
+};
+struct ICaseEqual {
+  using is_transparent = void;
+  bool operator()(std::string_view a, std::string_view b) const noexcept {
+    return iequals(a, b);
+  }
+};
+
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 [[nodiscard]] bool ends_with(std::string_view s, std::string_view suffix) noexcept;
 

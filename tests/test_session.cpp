@@ -17,8 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/resource_governor.hpp"
@@ -26,6 +28,7 @@
 #include "serial/envelope.hpp"
 #include "transport/assembly_hub.hpp"
 #include "transport/async_transport.hpp"
+#include "transport/intro_registry.hpp"
 #include "transport/peer.hpp"
 #include "transport/sim_network.hpp"
 #include "transport/socket_transport.hpp"
@@ -43,8 +46,12 @@ using transport::PeerConfig;
 using transport::PeerQuotaConfig;
 using transport::ProtocolMode;
 using transport::PushAck;
+using transport::SessionAck;
+using transport::SessionBatch;
+using transport::SessionBatchAck;
 using transport::SessionIntro;
 using transport::SessionPush;
+using transport::SessionStatus;
 using transport::SimNetwork;
 using transport::SocketTransport;
 
@@ -457,6 +464,61 @@ TEST(SessionLayer, HostileIntroNamesAreChargedBeforeTheHandlerRuns) {
   EXPECT_EQ(receiver.sessions().inbound_sessions(), 0u);
   ASSERT_NE(net.peer_quotas(), nullptr);
   EXPECT_EQ(net.peer_quotas()->stats().rejected_names, 1u);
+}
+
+TEST(SessionLayer, StuffedAcksCannotGrowTheIntroRegistry) {
+  // A hostile receiver answers every session push with acks stuffed with
+  // never-seen description hashes. The sender folds every ack into the hub
+  // registry — on the sync, the unbatched async and the batched path — and
+  // the receiver's set must stay at the cap however many acks arrive.
+  SimNetwork net;
+  auto hub = std::make_shared<AssemblyHub>();
+  PeerConfig config{.mode = ProtocolMode::Optimistic, .use_sessions = true};
+  Peer sender("sender", net, hub, config);
+  config.session.max_batch = 2;
+  Peer batcher("batcher", net, hub, config);
+  const fuzz::Schema schema = fixed_schema();
+  const auto assembly = fuzz::sender_assembly("sstuff", schema);
+  sender.host_assembly(assembly);
+  batcher.host_assembly(assembly);
+  const fuzz::ValuePlan values = fixed_values(schema);
+
+  constexpr std::size_t kCap = transport::IntroRegistry::kMaxHashesPerReceiver;
+  std::uint64_t next_hash = 1;
+  const auto stuffed_ack = [&] {
+    SessionAck ack{SessionStatus::Ok, true, "mallory.Thing", {}};
+    for (std::size_t i = 0; i < kCap / 2 + 1; ++i) {
+      ack.known_desc_hashes.push_back(next_hash++);
+    }
+    return ack;
+  };
+  net.attach("mallory", [&](const Message& m) {
+    if (const auto* batch = std::get_if<SessionBatch>(&m.payload)) {
+      SessionBatchAck back;
+      for (std::size_t i = 0; i < batch->entries.size(); ++i) {
+        back.entries.push_back(stuffed_ack());
+      }
+      return Message{"mallory", m.sender, std::move(back)};
+    }
+    return Message{"mallory", m.sender, stuffed_ack()};
+  });
+  const auto known = [&] { return hub->intro_registry().known_count("mallory"); };
+  const auto object = [&](Peer& from) {
+    return fuzz::make_object(from, "sstuff", schema, values);
+  };
+
+  ASSERT_TRUE(sender.send_object("mallory", object(sender)).delivered);
+  EXPECT_EQ(known(), kCap / 2 + 1);
+  ASSERT_TRUE(sender.send_object("mallory", object(sender)).delivered);
+  EXPECT_EQ(known(), kCap);
+  ASSERT_TRUE(sender.send_object_async("mallory", object(sender)).get().delivered);
+  EXPECT_EQ(known(), kCap);
+  auto f0 = batcher.send_object_async("mallory", object(batcher));
+  auto f1 = batcher.send_object_async("mallory", object(batcher));
+  ASSERT_TRUE(f0.get().delivered);
+  ASSERT_TRUE(f1.get().delivered);
+  EXPECT_EQ(known(), kCap);
+  EXPECT_GE(next_hash, 5 * (kCap / 2 + 1));  // every ack was stuffed
 }
 
 TEST(SessionLayer, AddInterestInvalidatesCachedRejects) {

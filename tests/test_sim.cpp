@@ -22,6 +22,7 @@
 // digests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -216,7 +217,7 @@ TEST(InterestIndexTest, CollectMatchesReturnsSortedUnion) {
   index.add_interest(s1, y, 2);
 
   std::vector<SubscriberId> out;
-  std::vector<InternedName> scratch;
+  InterestIndex::FanoutScratch scratch;
   // Accept both interests: s0 subscribes to both but appears once.
   ASSERT_EQ(index.collect_matches([](const InterestEntry&) { return true; }, out, scratch),
             3u);
@@ -227,6 +228,63 @@ TEST(InterestIndexTest, CollectMatchesReturnsSortedUnion) {
                 [&](const InterestEntry& e) { return e.interest == y; }, out, scratch),
             2u);
   EXPECT_EQ(out, (std::vector<SubscriberId>{s0, s1}));
+
+  // A capped fan-out keeps the `limit` smallest DISTINCT subscribers of
+  // the union (what the scenario keeps after dropping the publisher and
+  // truncating), so each case compares against the full sorted union cut
+  // the same way.
+  const InternedName a = intern("simidx.cap.A");
+  const InternedName b = intern("simidx.cap.B");
+  const InternedName c = intern("simidx.cap.C");
+  std::vector<SubscriberId> subs{s0, s1, s2};
+  for (int i = 3; i < 300; ++i) subs.push_back(index.add_subscriber());
+  // Posting lists in scrambled insertion order, overlapping: the even ids
+  // below 100 appear under both A and B, so duplicates straddle every
+  // small cut; ids run to 299, across five bitmap words; C is rejected.
+  for (int i = 99; i >= 0; --i) index.add_interest(subs[i], a, 1);
+  for (int i = 0; i < 150; i += 2) index.add_interest(subs[i], b, 1);
+  for (int i = 299; i >= 130; i -= 3) index.add_interest(subs[i], b, 1);
+  for (int i = 0; i < 300; ++i) index.add_interest(subs[i], c, 2);
+  const auto accept = [&](const InterestEntry& e) {
+    return e.interest == a || e.interest == b;
+  };
+
+  // Reference: the posting lists of A and B, sorted and deduplicated.
+  std::vector<SubscriberId> full;
+  index.collect_subscribers(a, full);
+  index.collect_subscribers(b, full);
+  std::sort(full.begin(), full.end());
+  full.erase(std::unique(full.begin(), full.end()), full.end());
+  ASSERT_EQ(full.size(), 179u);
+  index.collect_matches(accept, out, scratch);
+  ASSERT_EQ(out, full);
+
+  for (const std::size_t limit : {std::size_t{1}, std::size_t{7}, std::size_t{64},
+                                  std::size_t{65}, std::size_t{100}, std::size_t{101},
+                                  std::size_t{130}, full.size(), full.size() + 1,
+                                  std::size_t{5000}}) {
+    std::vector<SubscriberId> expected = full;
+    expected.resize(std::min(limit, full.size()));
+    ASSERT_EQ(index.collect_matches(accept, out, scratch, limit), expected.size());
+    EXPECT_EQ(out, expected) << "limit " << limit;
+  }
+
+  // The scenario's use: publisher inside the first cap + 1, then removed
+  // and truncated, equals the full union with the publisher removed.
+  const std::size_t cap = 16;
+  for (const SubscriberId publisher : {full[0], full[7], full[cap], full[cap + 1]}) {
+    index.collect_matches(accept, out, scratch, cap + 1);
+    out.erase(std::remove(out.begin(), out.end(), publisher), out.end());
+    out.resize(std::min(out.size(), cap));
+    std::vector<SubscriberId> expected = full;
+    expected.erase(std::remove(expected.begin(), expected.end(), publisher), expected.end());
+    expected.resize(cap);
+    EXPECT_EQ(out, expected) << "publisher " << publisher;
+  }
+
+  // The scratch bitmap is left clear: an empty selection finds nothing.
+  EXPECT_EQ(index.collect_matches([](const InterestEntry&) { return false; }, out, scratch),
+            0u);
 }
 
 // The TSan target: writers churn subscriptions on a shared index while
@@ -264,6 +322,8 @@ TEST(InterestIndexTest, ConcurrentChurnWithPinnedReaders) {
     threads.emplace_back([&, r] {
       std::vector<SubscriberId> subs;
       std::vector<InternedName> interests;
+      std::vector<SubscriberId> fanout;
+      InterestIndex::FanoutScratch scratch;
       for (int round = 0; round < 600; ++round) {
         util::EpochManager::Pin pin(index.epochs());
         subs.clear();
@@ -275,7 +335,15 @@ TEST(InterestIndexTest, ConcurrentChurnWithPinnedReaders) {
             for (const InterestEntry& e : *held) ASSERT_TRUE(e.interest.valid());
           }
         }
-        (void)r;
+        // The capped fan-out walks the same snapshots as it marks its bitmap.
+        const auto parity = static_cast<std::uint64_t>((round + r) % 2);
+        const auto same_parity = [&](const InterestEntry& e) {
+          return e.fingerprint % 2 == parity;
+        };
+        index.collect_matches(same_parity, fanout, scratch, 16);
+        ASSERT_LE(fanout.size(), 16u);
+        ASSERT_TRUE(std::is_sorted(fanout.begin(), fanout.end()));
+        ASSERT_EQ(std::adjacent_find(fanout.begin(), fanout.end()), fanout.end());
       }
     });
   }
@@ -405,14 +473,65 @@ TEST(ScenarioEquivalence, InvertedIndexAndPerPeerScanProduceIdenticalRuns) {
   ScenarioConfig config;
   config.seed = 23;
   config.peers = 600;
-  config.use_inverted_index = true;
-  const ScenarioResult indexed = sim::run_scenario(config, script);
-  config.use_inverted_index = false;
-  const ScenarioResult scanned = sim::run_scenario(config, script);
+  // Both delivery modes: cold pushes, and the batched sessions the
+  // benchmark storm runs (where target order also shapes the frames).
+  for (const bool batched : {false, true}) {
+    config.use_sessions = batched;
+    config.session_batch = batched ? 16 : 1;
+    config.use_inverted_index = true;
+    const ScenarioResult indexed = sim::run_scenario(config, script);
+    config.use_inverted_index = false;
+    const ScenarioResult scanned = sim::run_scenario(config, script);
 
-  EXPECT_EQ(indexed.trace_digest, scanned.trace_digest);
-  EXPECT_EQ(indexed.accept_digest, scanned.accept_digest);
-  EXPECT_EQ(indexed.stats_digest, scanned.stats_digest);
+    EXPECT_EQ(indexed.trace_digest, scanned.trace_digest) << "batched " << batched;
+    EXPECT_EQ(indexed.accept_digest, scanned.accept_digest) << "batched " << batched;
+    EXPECT_EQ(indexed.stats_digest, scanned.stats_digest) << "batched " << batched;
+    EXPECT_EQ(indexed.stats.session_batch_frames, scanned.stats.session_batch_frames);
+  }
+}
+
+// Golden digests: fixed-seed runs whose trace, accept and stats digests
+// are pinned to recorded values, so a change that reorders SessionBatch
+// frames, moves a wire byte or changes a target set fails here even when
+// both sides of an equivalence test move together. (The accept digest
+// ignores frame order and the bench gate allows a band on bytes; the
+// stats digest folds net_bytes, net_messages and session_batch_frames
+// exactly.) The dense population repeats (publisher, target) pairs, so
+// frames carry several entries, and the long partitions cause drops.
+// Regenerate these values only for a deliberate change to the protocol's
+// wire or the scenario's event stream.
+TEST(ScenarioGolden, FixedSeedDigestsArePinned) {
+  ScenarioConfig config;
+  config.seed = 43;
+  config.peers = 48;
+  config.types = 16;
+  config.type_groups = 4;
+  config.fanout_cap = 12;
+  ScenarioScript script;
+  script.publish_storm(300)
+      .churn(6, 3)
+      .partition_wave(10, 5'000'000)
+      .publish_storm(300)
+      .settle(2'000'000)
+      .churn(3, 3)
+      .publish_storm(150);
+
+  const ScenarioResult cold = sim::run_scenario(config, script);
+  EXPECT_EQ(cold.trace_digest, 0x84d3444a0de2478fULL);
+  EXPECT_EQ(cold.accept_digest, 0xbb0a59d715db786bULL);
+  EXPECT_EQ(cold.stats_digest, 0x59db0cbda82e6e2aULL);
+  EXPECT_EQ(cold.stats.net_bytes, 8365870u);
+  EXPECT_EQ(cold.stats.drops, 10u);
+
+  config.use_sessions = true;
+  config.session_batch = 4;
+  const ScenarioResult batched = sim::run_scenario(config, script);
+  EXPECT_EQ(batched.trace_digest, 0x3c2f471e140578afULL);
+  EXPECT_EQ(batched.accept_digest, 0xbb0a59d715db786bULL);
+  EXPECT_EQ(batched.stats_digest, 0xb64007d45d3c87e7ULL);
+  EXPECT_EQ(batched.stats.net_bytes, 6838328u);
+  EXPECT_EQ(batched.stats.session_batch_frames, 7136u);
+  EXPECT_EQ(batched.stats.session_batch_entries, 9000u);
 }
 
 TEST(ScenarioEquivalence, SessionModeAgreesWhileWireCostCollapses) {

@@ -6,6 +6,7 @@
 
 #include "util/base64.hpp"
 #include "util/byte_buffer.hpp"
+#include "util/flat_id_map.hpp"
 #include "util/guid.hpp"
 #include "util/hash.hpp"
 #include "util/levenshtein.hpp"
@@ -28,6 +29,9 @@ TEST(StringUtil, IEquals) {
   EXPECT_TRUE(iequals("", ""));
   EXPECT_FALSE(iequals("Person", "Persons"));
   EXPECT_FALSE(iequals("Person", "Persom"));
+  // The unordered-container hash agrees with iequals.
+  EXPECT_EQ(ihash("Person"), ihash("pERSON"));
+  EXPECT_NE(ihash("Person"), ihash("Persom"));
 }
 
 TEST(StringUtil, ILessIsStrictWeakOrder) {
@@ -311,6 +315,37 @@ TEST(Rng, DeterministicAndBounded) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
+}
+
+TEST(FlatIdMap, InsertsFindsGrowsAndClears) {
+  FlatIdMap map;
+  // Ids that differ only in their high or only in their low word, well
+  // past the initial capacity, each keep their own value.
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    ids.push_back(i);
+    ids.push_back((i + 1) << 32);
+    ids.push_back(((i + 1) << 32) | (i + 1000));
+  }
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const auto [value, inserted] = map.try_emplace(ids[k], static_cast<std::uint32_t>(k));
+    EXPECT_TRUE(inserted) << ids[k];
+    EXPECT_EQ(value, k);
+  }
+  EXPECT_EQ(map.size(), ids.size());
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const auto [value, inserted] = map.try_emplace(ids[k], 0xFFFFFFFFu);
+    EXPECT_FALSE(inserted) << ids[k];
+    EXPECT_EQ(value, k) << ids[k];
+  }
+
+  // clear() forgets every id; the map refills from scratch.
+  map.clear();
+  EXPECT_EQ(map.size(), 0u);
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    EXPECT_TRUE(map.try_emplace(ids[k], 1).second) << ids[k];
+  }
+  EXPECT_EQ(map.size(), ids.size());
 }
 
 TEST(SimClock, AdvancesMonotonically) {

@@ -19,6 +19,7 @@
 # Exit codes (fail-fast: the first failing stage's code is returned):
 #   10 debug configure/build   20 debug ctest
 #   30 tsan  configure/build   40 tsan  ctest
+#   35 ubsan configure/build   45 ubsan ctest   (halts on the first report)
 #   50 asan  configure/build   60 asan  ctest    (ASAN=1 only)
 #   70 clang-format gate       80 adversarial soak gate (SOAK=1 only)
 #   90 megasim scale smoke (10^4-peer deterministic scenario, Release,
@@ -28,6 +29,8 @@
 #      included)
 #   97 bench regression gate (smoke-scale bench run; deterministic
 #      counters compared against the committed BENCH_*.json trajectory)
+#   98 benchmark correctness smoke (every perfbench workload for 2 s:
+#      outcome checks only, timings not gated)
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -71,6 +74,8 @@ stage 10 "configure + build: debug preset" build_preset debug
 stage 20 "ctest: debug preset" ctest --preset debug "${CTEST_JOBS[@]}"
 stage 30 "configure + build: tsan preset" build_preset tsan
 stage 40 "ctest: tsan preset" ctest --preset tsan "${CTEST_JOBS[@]}" "${TSAN_FILTER[@]}"
+stage 35 "configure + build: ubsan preset" build_preset ubsan
+stage 45 "ctest: ubsan preset" ctest --preset ubsan "${CTEST_JOBS[@]}"
 if [[ "${ASAN:-0}" == "1" ]]; then
   stage 50 "configure + build: asan preset" build_preset asan
   stage 60 "ctest: asan preset" ctest --preset asan "${CTEST_JOBS[@]}"
@@ -116,5 +121,17 @@ stage 95 "session equivalence gate (Release differential suite)" session_equival
 # (and re-asserts the headline ratio claims). Same command CI's
 # bench-smoke job runs.
 stage 97 "bench regression gate (smoke counters vs trajectory)" tools/run_benches.sh --smoke
+
+# The repository benchmark's outcome checks: each workload runs for 2 s
+# and exits 1 when a push fails its check (a wrong verdict or getter
+# value, or a storm cycle whose accept digest differs from the
+# sessions-off run). Timings are printed, not gated.
+bench_correctness() {
+  local workload
+  for workload in cold_mix warm_session storm; do
+    python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 2 --trace 0 || return 1
+  done
+}
+stage 98 "benchmark correctness smoke (perfbench outcome checks)" bench_correctness
 
 echo "run_checks: ALL GREEN"
