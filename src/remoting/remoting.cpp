@@ -128,9 +128,8 @@ std::vector<std::uint8_t> Remoting::marshal(const Value& value) {
 Value Remoting::unmarshal(std::span<const std::uint8_t> envelope_bytes,
                           std::string_view counterpart) {
   const serial::Envelope envelope = serial::Envelope::from_bytes(envelope_bytes);
-  peer_.ensure_types_usable(envelope.types, counterpart);
-  serial::ObjectSerializer& serializer = peer_.serializers().get(envelope.encoding);
-  Value value = serializer.deserialize(envelope.payload);
+  peer_.ensure_types_usable(envelope.types(), counterpart);
+  Value value = envelope.read_payload(peer_.serializers());
   if (value.kind() == ValueKind::Object && value.as_object()) {
     peer_.domain().fill_missing_fields(*value.as_object());
   } else if (value.kind() == ValueKind::List) {

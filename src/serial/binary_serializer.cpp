@@ -1,5 +1,6 @@
 #include "serial/binary_serializer.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "reflect/dyn_object.hpp"
@@ -17,6 +18,9 @@ using util::ByteWriter;
 namespace {
 
 constexpr std::uint8_t kVersion = 1;
+/// Deepest value nesting the reader accepts, the same bound xml::parse
+/// puts on the XML encodings' element nesting.
+constexpr std::size_t kMaxDepth = 1024;
 constexpr char kMagic[4] = {'P', 'T', 'I', 'B'};
 
 enum class Tag : std::uint8_t {
@@ -156,7 +160,20 @@ class Reader {
     return strings_[idx - 1];
   }
 
+  /// Lists and first-occurrence objects nest by recursion, so hostile
+  /// bytes must not choose the depth (two bytes per level would do).
   Value read_value() {
+    if (depth_ == kMaxDepth) {
+      throw SerialError("binary payload nests deeper than " + std::to_string(kMaxDepth) +
+                        " levels");
+    }
+    ++depth_;
+    Value v = read_tagged();
+    --depth_;
+    return v;
+  }
+
+  Value read_tagged() {
     const auto tag = static_cast<Tag>(in_.read_u8());
     switch (tag) {
       case Tag::Null: return Value();
@@ -169,7 +186,10 @@ class Reader {
       case Tag::List: {
         const std::uint64_t count = in_.read_varint();
         Value::List items;
-        items.reserve(count);
+        // Every item takes at least one byte, so a count beyond the bytes
+        // left is a lie that must not size an allocation.
+        const std::uint64_t honest = std::min<std::uint64_t>(count, in_.remaining());
+        items.reserve(static_cast<std::size_t>(honest));
         for (std::uint64_t i = 0; i < count; ++i) items.push_back(read_value());
         return Value(std::move(items));
       }
@@ -198,6 +218,7 @@ class Reader {
   }
 
   ByteReader in_;
+  std::size_t depth_ = 0;
   std::vector<std::string> strings_;
   std::vector<std::shared_ptr<DynObject>> objects_;
 };

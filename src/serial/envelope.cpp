@@ -4,7 +4,6 @@
 
 #include "reflect/dyn_object.hpp"
 #include "serial/serial_error.hpp"
-#include "util/base64.hpp"
 #include "util/string_util.hpp"
 #include "xml/xml_parser.hpp"
 #include "xml/xml_writer.hpp"
@@ -16,10 +15,6 @@ using reflect::Value;
 using reflect::ValueKind;
 
 namespace {
-
-[[nodiscard]] bool is_xml_encoding(std::string_view encoding) noexcept {
-  return util::iequals(encoding, "xml") || util::iequals(encoding, "soap");
-}
 
 void collect(const Value& v, std::set<const DynObject*>& seen,
              std::vector<std::string>& out) {
@@ -54,37 +49,14 @@ std::vector<std::string> collect_type_names(const Value& root) {
   return out;
 }
 
-xml::XmlNode Envelope::to_xml() const {
-  xml::XmlNode root("PTIMessage");
-  auto& info = root.add_child("TypeInfo");
-  for (const auto& t : types) {
-    auto& tn = info.add_child("Type");
-    tn.set_attr("name", t.type_name);
-    if (!t.guid.is_nil()) tn.set_attr("guid", t.guid.to_string());
-    if (!t.assembly_name.empty()) tn.set_attr("assembly", t.assembly_name);
-    if (!t.download_path.empty()) tn.set_attr("downloadPath", t.download_path);
+Envelope Envelope::from_bytes(std::span<const std::uint8_t> data) {
+  const std::string_view text(reinterpret_cast<const char*>(data.data()), data.size());
+  xml::XmlNode message = xml::parse(text);
+  if (message.name() != "PTIMessage") {
+    throw SerialError("expected <PTIMessage>, found <" + message.name() + ">");
   }
-  auto& payload_node = root.add_child("Payload");
-  payload_node.set_attr("encoding", encoding);
-  const std::string_view payload_text(reinterpret_cast<const char*>(payload.data()),
-                                      payload.size());
-  if (is_xml_encoding(encoding)) {
-    // Nest the XML payload structurally — keeps the whole message
-    // human-readable, as the paper advertises for its XML wrapper.
-    payload_node.add_child(xml::parse(payload_text));
-  } else {
-    payload_node.set_attr("transfer", "base64");
-    payload_node.set_text(util::base64_encode(payload));
-  }
-  return root;
-}
-
-Envelope Envelope::from_xml(const xml::XmlNode& node) {
-  if (node.name() != "PTIMessage") {
-    throw SerialError("expected <PTIMessage>, found <" + node.name() + ">");
-  }
-  Envelope env;
-  const xml::XmlNode& info = node.required_child("TypeInfo");
+  std::vector<TypeInfoEntry> types;
+  const xml::XmlNode& info = message.required_child("TypeInfo");
   for (const xml::XmlNode* t : info.children_named("Type")) {
     TypeInfoEntry entry;
     entry.type_name = std::string(t->required_attr("name"));
@@ -95,58 +67,54 @@ Envelope Envelope::from_xml(const xml::XmlNode& node) {
     }
     entry.assembly_name = std::string(t->attr("assembly").value_or(""));
     entry.download_path = std::string(t->attr("downloadPath").value_or(""));
-    env.types.push_back(std::move(entry));
+    types.push_back(std::move(entry));
   }
-  const xml::XmlNode& payload_node = node.required_child("Payload");
-  env.encoding = std::string(payload_node.required_attr("encoding"));
-  if (is_xml_encoding(env.encoding)) {
-    if (payload_node.children().size() != 1) {
-      throw SerialError("XML payload must contain exactly one nested element");
-    }
-    const std::string text = xml::write(payload_node.children().front(),
-                                        xml::WriteOptions{.indent = false,
-                                                          .declaration = false});
-    env.payload.assign(text.begin(), text.end());
-  } else {
-    const auto decoded = util::base64_decode(util::trim(payload_node.text()));
-    if (!decoded) throw SerialError("malformed base64 payload");
-    env.payload = *decoded;
-  }
-  return env;
+  std::string encoding(message.required_child("Payload").required_attr("encoding"));
+  return Envelope(std::move(types), std::move(encoding), std::move(message));
 }
 
 std::vector<std::uint8_t> Envelope::to_bytes() const {
-  const std::string text = xml::write(to_xml());
+  const std::string text = xml::write(message_);
   return std::vector<std::uint8_t>(text.begin(), text.end());
 }
 
-Envelope Envelope::from_bytes(std::span<const std::uint8_t> data) {
-  const std::string_view text(reinterpret_cast<const char*>(data.data()), data.size());
-  return from_xml(xml::parse(text));
+Value Envelope::read_payload(const SerializerRegistry& serializers) const {
+  return serializers.get(encoding_).read_payload(message_.required_child("Payload"));
 }
 
-std::size_t Envelope::wrapper_size() const {
-  const std::size_t total = to_bytes().size();
-  return total >= payload.size() ? total - payload.size() : 0;
-}
-
-Envelope EnvelopeBuilder::build(const Value& root) {
-  Envelope env;
-  env.encoding = std::string(serializer_.encoding());
-  env.payload = serializer_.serialize(root);
-  for (const std::string& type_name : collect_type_names(root)) {
+std::vector<TypeInfoEntry> collect_type_info(const Value& root,
+                                             reflect::TypeResolver* resolver) {
+  std::vector<TypeInfoEntry> types;
+  for (std::string& type_name : collect_type_names(root)) {
     TypeInfoEntry entry;
-    entry.type_name = type_name;
-    if (resolver_ != nullptr) {
-      if (const reflect::TypeDescription* d = resolver_->resolve(type_name, "")) {
+    if (resolver != nullptr) {
+      if (const reflect::TypeDescription* d = resolver->resolve(type_name, "")) {
         entry.guid = d->guid();
         entry.assembly_name = d->assembly_name();
         entry.download_path = d->download_path();
       }
     }
-    env.types.push_back(std::move(entry));
+    entry.type_name = std::move(type_name);
+    types.push_back(std::move(entry));
   }
-  return env;
+  return types;
+}
+
+Envelope EnvelopeBuilder::build(const Value& root) {
+  std::vector<TypeInfoEntry> types = collect_type_info(root, resolver_);
+  xml::XmlNode message("PTIMessage");
+  auto& info = message.add_child("TypeInfo");
+  for (const TypeInfoEntry& entry : types) {
+    auto& tn = info.add_child("Type");
+    tn.set_attr("name", entry.type_name);
+    if (!entry.guid.is_nil()) tn.set_attr("guid", entry.guid.to_string());
+    if (!entry.assembly_name.empty()) tn.set_attr("assembly", entry.assembly_name);
+    if (!entry.download_path.empty()) tn.set_attr("downloadPath", entry.download_path);
+  }
+  auto& payload = message.add_child("Payload");
+  payload.set_attr("encoding", serializer_.encoding());
+  serializer_.write_payload(root, payload);
+  return Envelope(std::move(types), std::string(serializer_.encoding()), std::move(message));
 }
 
 }  // namespace pti::serial

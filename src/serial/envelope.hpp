@@ -8,8 +8,9 @@
 //     "optimistic" part: names and paths travel, descriptions and code do
 //     NOT — the receiver fetches them only when needed.
 //   * Payload — the object graph serialized by one of the pluggable
-//     mechanisms (SOAP or binary, per the paper; XML also supported).
-//     XML-based payloads nest as XML; binary payloads are base64.
+//     mechanisms (SOAP or binary, per the paper; XML also supported). The
+//     serializer decides how its payload sits in <Payload>: XML encodings
+//     nest their DOM, binary travels as base64 text.
 //
 //   <PTIMessage>
 //     <TypeInfo>
@@ -18,6 +19,9 @@
 //     </TypeInfo>
 //     <Payload encoding="soap"> <SOAP-ENV:Envelope>...</SOAP-ENV:Envelope> </Payload>
 //   </PTIMessage>
+//
+// The sender builds the whole message as one DOM and writes it once; the
+// receiver parses it once and later decodes the payload from that DOM.
 #pragma once
 
 #include <cstdint>
@@ -40,26 +44,40 @@ struct TypeInfoEntry {
   bool operator==(const TypeInfoEntry&) const = default;
 };
 
-struct Envelope {
-  std::vector<TypeInfoEntry> types;
-  std::string encoding;                ///< payload serializer ("soap", ...)
-  std::vector<std::uint8_t> payload;   ///< serialized object graph
-
-  [[nodiscard]] xml::XmlNode to_xml() const;
-  [[nodiscard]] static Envelope from_xml(const xml::XmlNode& node);
-
-  /// Full message bytes as put on the wire.
-  [[nodiscard]] std::vector<std::uint8_t> to_bytes() const;
+/// One hybrid message. Built around a value by EnvelopeBuilder, or decoded
+/// from wire bytes by from_bytes; either way it holds the message DOM.
+class Envelope {
+ public:
+  /// One XML parse of the whole message. XML syntax errors and a malformed
+  /// TypeInfo section throw here; the payload stays a DOM until
+  /// read_payload, so payload-structure errors surface only there.
   [[nodiscard]] static Envelope from_bytes(std::span<const std::uint8_t> data);
 
-  /// Size of the XML wrapper alone (message minus payload bytes) — the
-  /// envelope overhead benchmark E6 reports.
-  [[nodiscard]] std::size_t wrapper_size() const;
+  [[nodiscard]] const std::vector<TypeInfoEntry>& types() const noexcept { return types_; }
+  /// Name of the payload serializer ("soap", ...).
+  [[nodiscard]] const std::string& encoding() const noexcept { return encoding_; }
+
+  /// Full message bytes as put on the wire: one XML write.
+  [[nodiscard]] std::vector<std::uint8_t> to_bytes() const;
+  /// Decodes the payload with the serializer registered for encoding(),
+  /// straight from the message DOM.
+  [[nodiscard]] reflect::Value read_payload(const SerializerRegistry& serializers) const;
+
+ private:
+  friend class EnvelopeBuilder;
+  Envelope(std::vector<TypeInfoEntry> types, std::string encoding, xml::XmlNode message)
+      : types_(std::move(types)),
+        encoding_(std::move(encoding)),
+        message_(std::move(message)) {}
+
+  std::vector<TypeInfoEntry> types_;
+  std::string encoding_;
+  xml::XmlNode message_;  ///< <PTIMessage>, its <Payload> as the serializer shaped it
 };
 
 /// Builds envelopes: walks the object graph, collects the distinct types
-/// (with provenance looked up through the resolver), and serializes the
-/// payload with the chosen mechanism.
+/// (with provenance looked up through the resolver), and lets the chosen
+/// serializer place the payload in the message DOM.
 class EnvelopeBuilder {
  public:
   EnvelopeBuilder(ObjectSerializer& serializer, reflect::TypeResolver* resolver)
@@ -75,5 +93,10 @@ class EnvelopeBuilder {
 /// Collects the distinct type names reachable in a value graph (cycle-safe,
 /// stable order of first occurrence).
 [[nodiscard]] std::vector<std::string> collect_type_names(const reflect::Value& root);
+
+/// The TypeInfo entries of a value graph: collect_type_names with the
+/// provenance (guid, assembly, download path) `resolver` knows, if any.
+[[nodiscard]] std::vector<TypeInfoEntry> collect_type_info(const reflect::Value& root,
+                                                           reflect::TypeResolver* resolver);
 
 }  // namespace pti::serial

@@ -23,6 +23,7 @@
 
 #include "reflect/value.hpp"
 #include "util/string_util.hpp"
+#include "xml/xml_node.hpp"
 
 namespace pti::serial {
 
@@ -34,8 +35,31 @@ class ObjectSerializer {
   /// so receivers pick the right decoder.
   [[nodiscard]] virtual std::string_view encoding() const noexcept = 0;
 
+  /// The payload as standalone bytes (what a session push carries).
   [[nodiscard]] virtual std::vector<std::uint8_t> serialize(const reflect::Value& root) = 0;
   [[nodiscard]] virtual reflect::Value deserialize(std::span<const std::uint8_t> data) = 0;
+
+  /// The payload inside an envelope: each encoding decides how it sits in
+  /// the message's <Payload> element. By default the serialize() bytes
+  /// travel as base64 text; XML encodings nest their DOM instead.
+  virtual void write_payload(const reflect::Value& root, xml::XmlNode& payload);
+  /// Reads what write_payload wrote, from the parsed message DOM.
+  [[nodiscard]] virtual reflect::Value read_payload(const xml::XmlNode& payload);
+};
+
+/// Base of the XML encodings: the value's DOM is the one representation.
+/// Standalone bytes are that DOM written as a document; inside an envelope
+/// the DOM nests as <Payload>'s only child, so a message costs one XML
+/// write on the sender and one parse on the receiver.
+class XmlBasedSerializer : public ObjectSerializer {
+ public:
+  [[nodiscard]] virtual xml::XmlNode to_xml(const reflect::Value& root) = 0;
+  [[nodiscard]] virtual reflect::Value from_xml(const xml::XmlNode& node) = 0;
+
+  [[nodiscard]] std::vector<std::uint8_t> serialize(const reflect::Value& root) final;
+  [[nodiscard]] reflect::Value deserialize(std::span<const std::uint8_t> data) final;
+  void write_payload(const reflect::Value& root, xml::XmlNode& payload) final;
+  [[nodiscard]] reflect::Value read_payload(const xml::XmlNode& payload) final;
 };
 
 /// Registry of serializers by encoding name (case-insensitive).

@@ -8,8 +8,6 @@
 #include "serial/serial_error.hpp"
 #include "serial/value_xml_common.hpp"
 #include "util/guid.hpp"
-#include "xml/xml_parser.hpp"
-#include "xml/xml_writer.hpp"
 
 namespace pti::serial {
 
@@ -165,16 +163,6 @@ xml::XmlNode SoapSerializer::to_xml(const Value& root) {
 Value SoapSerializer::from_xml(const xml::XmlNode& envelope) {
   Reader reader;
   return reader.read(envelope);
-}
-
-std::vector<std::uint8_t> SoapSerializer::serialize(const Value& root) {
-  const std::string text = xml::write(to_xml(root));
-  return std::vector<std::uint8_t>(text.begin(), text.end());
-}
-
-Value SoapSerializer::deserialize(std::span<const std::uint8_t> data) {
-  const std::string_view text(reinterpret_cast<const char*>(data.data()), data.size());
-  return from_xml(xml::parse(text));
 }
 
 }  // namespace pti::serial

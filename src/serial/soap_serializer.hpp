@@ -11,19 +11,17 @@
 #pragma once
 
 #include "serial/object_serializer.hpp"
-#include "xml/xml_node.hpp"
 
 namespace pti::serial {
 
-class SoapSerializer final : public ObjectSerializer {
+class SoapSerializer final : public XmlBasedSerializer {
  public:
   [[nodiscard]] std::string_view encoding() const noexcept override { return "soap"; }
-  [[nodiscard]] std::vector<std::uint8_t> serialize(const reflect::Value& root) override;
-  [[nodiscard]] reflect::Value deserialize(std::span<const std::uint8_t> data) override;
 
-  /// DOM-level entry points (used by the envelope to nest payloads inline).
-  [[nodiscard]] xml::XmlNode to_xml(const reflect::Value& root);
-  [[nodiscard]] reflect::Value from_xml(const xml::XmlNode& envelope);
+  /// The <SOAP-ENV:Envelope> DOM; XmlBasedSerializer writes it as bytes or
+  /// nests it in a hybrid envelope's <Payload>.
+  [[nodiscard]] xml::XmlNode to_xml(const reflect::Value& root) override;
+  [[nodiscard]] reflect::Value from_xml(const xml::XmlNode& envelope) override;
 };
 
 }  // namespace pti::serial

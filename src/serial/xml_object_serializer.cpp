@@ -6,8 +6,6 @@
 #include "serial/serial_error.hpp"
 #include "serial/value_xml_common.hpp"
 #include "util/guid.hpp"
-#include "xml/xml_parser.hpp"
-#include "xml/xml_writer.hpp"
 
 namespace pti::serial {
 
@@ -120,16 +118,6 @@ xml::XmlNode XmlObjectSerializer::to_xml(const Value& root) {
 Value XmlObjectSerializer::from_xml(const xml::XmlNode& root) {
   Reader reader;
   return reader.read_value(root);
-}
-
-std::vector<std::uint8_t> XmlObjectSerializer::serialize(const Value& root) {
-  const std::string text = xml::write(to_xml(root));
-  return std::vector<std::uint8_t>(text.begin(), text.end());
-}
-
-Value XmlObjectSerializer::deserialize(std::span<const std::uint8_t> data) {
-  const std::string_view text(reinterpret_cast<const char*>(data.data()), data.size());
-  return from_xml(xml::parse(text));
 }
 
 }  // namespace pti::serial

@@ -9,11 +9,10 @@
 
 #include "reflect/type_registry.hpp"
 #include "serial/object_serializer.hpp"
-#include "xml/xml_node.hpp"
 
 namespace pti::serial {
 
-class XmlObjectSerializer final : public ObjectSerializer {
+class XmlObjectSerializer final : public XmlBasedSerializer {
  public:
   /// When a resolver is supplied, only fields declared *public* in the
   /// object's type description are emitted (the .NET XmlSerializer
@@ -22,12 +21,11 @@ class XmlObjectSerializer final : public ObjectSerializer {
       : resolver_(resolver) {}
 
   [[nodiscard]] std::string_view encoding() const noexcept override { return "xml"; }
-  [[nodiscard]] std::vector<std::uint8_t> serialize(const reflect::Value& root) override;
-  [[nodiscard]] reflect::Value deserialize(std::span<const std::uint8_t> data) override;
 
-  /// DOM-level entry points (used by the envelope to nest payloads inline).
-  [[nodiscard]] xml::XmlNode to_xml(const reflect::Value& root);
-  [[nodiscard]] reflect::Value from_xml(const xml::XmlNode& root);
+  /// The <value> DOM; XmlBasedSerializer writes it as bytes or nests it in
+  /// a hybrid envelope's <Payload>.
+  [[nodiscard]] xml::XmlNode to_xml(const reflect::Value& root) override;
+  [[nodiscard]] reflect::Value from_xml(const xml::XmlNode& root) override;
 
  private:
   reflect::TypeResolver* resolver_;

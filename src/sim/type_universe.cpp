@@ -111,6 +111,7 @@ TypeUniverse::TypeUniverse(const TypeUniverseConfig& config, transport::Assembly
 
   // Cache the lookups and wire artifacts per family.
   serial::ObjectSerializer& serializer = serializers_.get("soap");
+  payload_encoding_ = std::string(serializer.encoding());
   for (std::uint32_t t = 0; t < count; ++t) {
     Family& family = families_[t];
     const reflect::TypeDescription* pub_desc =
@@ -139,11 +140,10 @@ TypeUniverse::TypeUniverse(const TypeUniverseConfig& config, transport::Assembly
         object->set(m.name, reflect::Value("v" + std::to_string(t) + "_" + std::to_string(i)));
       }
     }
+    const reflect::Value root(std::move(object));
     serial::EnvelopeBuilder builder(serializer, &domain_.registry());
-    serial::Envelope env = builder.build(reflect::Value(std::move(object)));
-    payload_encoding_ = env.encoding;
-    family.payload = env.payload;
-    family.envelope = env.to_bytes();
+    family.envelope = builder.build(root).to_bytes();
+    family.payload = serializer.serialize(root);
     const std::uint64_t h = util::fnv1a64(std::string_view(
         reinterpret_cast<const char*>(family.envelope.data()), family.envelope.size()));
     family_by_envelope_hash_.emplace(h, t);

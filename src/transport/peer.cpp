@@ -162,14 +162,17 @@ std::string Peer::describe_type_xml(std::string_view type_name) const {
   return serial::type_description_to_string(*d);
 }
 
-Envelope Peer::build_envelope(const std::shared_ptr<DynObject>& object) {
+reflect::Value Peer::wire_value(const std::shared_ptr<DynObject>& object) {
   if (!object) throw ProtocolError("cannot send a null object");
   // The wire carries real state, never proxy wrappers.
-  const std::shared_ptr<DynObject> real = proxies_.unwrap(object);
+  return reflect::Value(proxies_.unwrap(object));
+}
 
+Peer::SessionObject Peer::build_session_object(const std::shared_ptr<DynObject>& object) {
+  const reflect::Value root = wire_value(object);
   serial::ObjectSerializer& serializer = serializers_.get(config_.payload_encoding);
-  serial::EnvelopeBuilder builder(serializer, &domain_.registry());
-  return builder.build(reflect::Value(real));
+  return SessionObject{serial::collect_type_info(root, &domain_.registry()),
+                       std::string(serializer.encoding()), serializer.serialize(root)};
 }
 
 std::vector<const TypeDescription*> Peer::collect_closure(std::vector<std::string> roots) {
@@ -201,7 +204,9 @@ std::vector<const TypeDescription*> Peer::collect_closure(std::vector<std::strin
 }
 
 ObjectPush Peer::build_push(const std::shared_ptr<DynObject>& object) {
-  const Envelope envelope = build_envelope(object);
+  serial::EnvelopeBuilder builder(serializers_.get(config_.payload_encoding),
+                                  &domain_.registry());
+  const Envelope envelope = builder.build(wire_value(object));
 
   ObjectPush push;
   push.envelope = envelope.to_bytes();
@@ -210,8 +215,8 @@ ObjectPush Peer::build_push(const std::shared_ptr<DynObject>& object) {
     // Ship the transitive description closure and every implementing
     // assembly up front — the baseline the optimistic protocol beats.
     std::vector<std::string> roots;
-    roots.reserve(envelope.types.size());
-    for (const auto& t : envelope.types) roots.push_back(t.type_name);
+    roots.reserve(envelope.types().size());
+    for (const auto& t : envelope.types()) roots.push_back(t.type_name);
     std::set<std::string, util::ICaseLess> assemblies;
     for (const TypeDescription* d : collect_closure(std::move(roots))) {
       push.eager_descriptions_xml.push_back(serial::type_description_to_string(*d));
@@ -256,18 +261,18 @@ SessionAck Peer::session_ack_from_response(const Message& response, std::string_
 }
 
 Peer::SessionSend Peer::build_session_push(const std::string& to,
-                                           const Envelope& envelope) {
+                                           const SessionObject& object) {
   SessionSend out;
-  out.names.reserve(envelope.types.size());
-  for (const auto& t : envelope.types) out.names.push_back(t.type_name);
+  out.names.reserve(object.types.size());
+  for (const auto& t : object.types) out.names.push_back(t.type_name);
   SessionTable::SendPlan plan = sessions_.plan_send(to, out.names);
   out.token = plan.token;
   out.fresh = plan.fresh;
 
   out.push.token = plan.token;
   out.push.wire_types = std::move(plan.wire_ids);
-  out.push.encoding = envelope.encoding;
-  out.push.payload = envelope.payload;
+  out.push.encoding = object.encoding;
+  out.push.payload = object.payload;
 
   if (!plan.fresh.empty()) {
     // First contact for some envelope types: their description closure
@@ -319,8 +324,8 @@ Peer::SessionSend Peer::build_session_push(const std::string& to,
       SessionIntro intro;
       intro.wire_id = out.push.wire_types[i];
       intro.type_name = out.names[i];
-      intro.assembly_name = envelope.types[i].assembly_name;
-      intro.download_path = envelope.types[i].download_path;
+      intro.assembly_name = object.types[i].assembly_name;
+      intro.download_path = object.types[i].download_path;
       if (const TypeDescription* d = domain_.registry().find(out.names[i])) {
         if (d->kind() != reflect::TypeKind::Primitive) {
           intro.description_xml = content_xml(*d);
@@ -363,13 +368,13 @@ Peer::SessionSend Peer::build_session_push(const std::string& to,
   return out;
 }
 
-PushAck Peer::send_object_session(std::string_view to, const Envelope& envelope) {
+PushAck Peer::send_object_session(std::string_view to, const SessionObject& object) {
   const std::string recipient(to);
   // Flush-on-sync: a synchronous send must not overtake pushes already
   // queued in this recipient's batching window.
   flush_batch_window(recipient);
   for (int attempt = 0; attempt < 2; ++attempt) {
-    SessionSend send = build_session_push(recipient, envelope);
+    SessionSend send = build_session_push(recipient, object);
     const Message response =
         network_.send(Message{name_, recipient, std::move(send.push)});
     ++stats_.objects_sent;
@@ -390,7 +395,7 @@ PushAck Peer::send_object_session(std::string_view to, const Envelope& envelope)
 
 PushAck Peer::send_object(std::string_view to,
                           const std::shared_ptr<DynObject>& object) {
-  if (config_.use_sessions) return send_object_session(to, build_envelope(object));
+  if (config_.use_sessions) return send_object_session(to, build_session_object(object));
   ObjectPush push = build_push(object);
   const Message response =
       network_.send(Message{name_, std::string(to), std::move(push)});
@@ -399,17 +404,17 @@ PushAck Peer::send_object(std::string_view to,
 }
 
 void Peer::send_session_attempt(const std::string& recipient,
-                                std::shared_ptr<const Envelope> envelope,
+                                std::shared_ptr<const SessionObject> object,
                                 std::shared_ptr<std::promise<PushAck>> promise,
                                 int retries_left) {
   try {
-    SessionSend send = build_session_push(recipient, *envelope);
+    SessionSend send = build_session_push(recipient, *object);
     auto token = send.token;
     outbound_.add();
     try {
       network_.send_async(
           Message{name_, recipient, std::move(send.push)},
-          [this, recipient, envelope, promise, retries_left, token,
+          [this, recipient, object, promise, retries_left, token,
            names = std::move(send.names), fresh = std::move(send.fresh)](
               Message response, std::exception_ptr error) {
             struct Done {
@@ -430,7 +435,7 @@ void Peer::send_session_attempt(const std::string& recipient,
                   // Replay once with a fresh token, from the transport
                   // thread — Resets are rare, the nested send is bounded.
                   ++stats_.session_retries;
-                  send_session_attempt(recipient, envelope, promise,
+                  send_session_attempt(recipient, object, promise,
                                        retries_left - 1);
                   return;
                 }
@@ -457,7 +462,7 @@ std::future<PushAck> Peer::send_object_async(std::string_view to,
   if (config_.use_sessions) {
     auto promise = std::make_shared<std::promise<PushAck>>();
     std::future<PushAck> future = promise->get_future();
-    auto envelope = std::make_shared<const Envelope>(build_envelope(object));
+    auto session_object = std::make_shared<const SessionObject>(build_session_object(object));
     const std::string recipient(to);
     if (config_.session.max_batch > 1) {
       // Batching window: queue the push; a full window travels as one
@@ -466,7 +471,7 @@ std::future<PushAck> Peer::send_object_async(std::string_view to,
       {
         std::scoped_lock lock(batch_mutex_);
         std::vector<PendingPush>& window = batch_windows_[recipient];
-        window.push_back(PendingPush{std::move(envelope), std::move(promise)});
+        window.push_back(PendingPush{std::move(session_object), std::move(promise)});
         if (window.size() >= config_.session.max_batch) {
           ready = std::move(window);
           batch_windows_.erase(recipient);
@@ -475,7 +480,7 @@ std::future<PushAck> Peer::send_object_async(std::string_view to,
       if (!ready.empty()) send_batch_attempt(recipient, std::move(ready));
       return future;
     }
-    send_session_attempt(recipient, std::move(envelope), std::move(promise), 1);
+    send_session_attempt(recipient, std::move(session_object), std::move(promise), 1);
     return future;
   }
   ObjectPush push = build_push(object);
@@ -557,7 +562,7 @@ void Peer::send_batch_attempt(const std::string& recipient,
     SessionBatch batch;
     batch.entries.reserve(pending->size());
     for (const PendingPush& item : *pending) {
-      sends->push_back(build_session_push(recipient, *item.envelope));
+      sends->push_back(build_session_push(recipient, *item.object));
       batch.entries.push_back(std::move(sends->back().push));
     }
     outbound_.add();
@@ -605,7 +610,7 @@ void Peer::send_batch_attempt(const std::string& recipient,
                 if (ack.status == SessionStatus::Reset) {
                   sessions_.reset_peer(recipient);
                   ++stats_.session_retries;
-                  send_session_attempt(recipient, item.envelope, item.promise, 1);
+                  send_session_attempt(recipient, item.object, item.promise, 1);
                   continue;
                 }
                 sessions_.commit_send(recipient, (*sends)[i].token, (*sends)[i].names,
@@ -730,11 +735,19 @@ CheckResult Peer::check_with_fetch(const TypeDescription& source,
                                    const TypeDescription& target,
                                    std::string_view sender) {
   CheckResult result = checker_.check(source, target);
+  // A concurrent push may register a missing type between the check and
+  // the fetch, which then has nothing left to ask for: that is progress too.
+  const auto any_known = [&](const std::vector<std::string>& names) {
+    return std::any_of(names.begin(), names.end(), [&](const std::string& name) {
+      return domain_.registry().find(name) != nullptr;
+    });
+  };
   std::size_t rounds = 0;
   while (result.needs_more_types() && config_.mode == ProtocolMode::Optimistic &&
          rounds < config_.max_fetch_rounds) {
     ++rounds;
-    if (fetch_descriptions(sender, result.missing_types) == 0) {
+    if (fetch_descriptions(sender, result.missing_types) == 0 &&
+        !any_known(result.missing_types)) {
       break;  // the sender cannot help further
     }
     result = checker_.check(source, target);
@@ -1036,15 +1049,15 @@ Message Peer::handle_object_push(const Message& request, const ObjectPush& push)
     }
   }
 
-  Envelope envelope = Envelope::from_bytes(push.envelope);
-  if (envelope.types.empty()) {
+  const Envelope envelope = Envelope::from_bytes(push.envelope);
+  if (envelope.types().empty()) {
     ++stats_.objects_rejected;
     return Message{name_, sender, PushAck{false, "envelope carries no object types"}};
   }
 
   // Protocol step 2: obtain descriptions for unknown envelope types.
   std::vector<std::string> unknown;
-  for (const auto& t : envelope.types) {
+  for (const auto& t : envelope.types()) {
     if (domain_.registry().find(t.type_name) == nullptr) unknown.push_back(t.type_name);
   }
   if (unknown.empty()) {
@@ -1054,7 +1067,7 @@ Message Peer::handle_object_push(const Message& request, const ObjectPush& push)
       throw ProtocolError("eager push from '" + sender + "' missing descriptions");
     }
     fetch_descriptions(sender, unknown);
-    for (const auto& t : envelope.types) {
+    for (const auto& t : envelope.types()) {
       if (domain_.registry().find(t.type_name) == nullptr) {
         throw ProtocolError("sender '" + sender + "' could not describe type '" +
                             t.type_name + "'");
@@ -1069,7 +1082,7 @@ Message Peer::handle_object_push(const Message& request, const ObjectPush& push)
   // the accept predicate below is the full checker — potentially
   // fetching, hence slow — and first match wins, exactly as before.
   const TypeDescription* pushed =
-      domain_.registry().find(envelope.types.front().type_name);
+      domain_.registry().find(envelope.types().front().type_name);
   const auto accept = [&](const InterestEntry& entry) {
     const TypeDescription* interest = domain_.registry().find_by_id(entry.interest);
     if (interest == nullptr) return false;
@@ -1101,19 +1114,19 @@ Message Peer::handle_object_push(const Message& request, const ObjectPush& push)
     ++stats_.objects_rejected;
     return Message{name_, sender,
                    PushAck{false, "no interest conforms to '" +
-                                      envelope.types.front().type_name + "'"}};
+                                      envelope.types().front().type_name + "'"}};
   }
 
   // Protocol step 4+5: download code for every type in the object graph.
   bool any_download = false;
-  for (const auto& entry : envelope.types) {
+  for (const auto& entry : envelope.types()) {
     ensure_code(entry, sender, any_download);
   }
   if (!any_download) ++stats_.code_cache_hits;
 
-  // Deserialize and hand over, wrapped as the interest type.
-  serial::ObjectSerializer& serializer = serializers_.get(envelope.encoding);
-  const reflect::Value root = serializer.deserialize(envelope.payload);
+  // Decode the payload from the parsed message and hand over, wrapped as
+  // the interest type.
+  const reflect::Value root = envelope.read_payload(serializers_);
   if (root.kind() != reflect::ValueKind::Object || !root.as_object()) {
     ++stats_.objects_rejected;
     return Message{name_, sender, PushAck{false, "payload root is not an object"}};

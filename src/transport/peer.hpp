@@ -220,13 +220,22 @@ class Peer {
   [[nodiscard]] TypeInfoResponse handle_typeinfo(const TypeInfoRequest& request);
   [[nodiscard]] CodeResponse handle_code(const CodeRequest& request);
 
-  /// Serializes the object graph into its envelope (types + payload) —
+  /// The value that travels for `object`: null rejected, proxy unwrapped —
   /// shared front half of both push shapes.
-  [[nodiscard]] serial::Envelope build_envelope(
-      const std::shared_ptr<reflect::DynObject>& object);
+  [[nodiscard]] reflect::Value wire_value(const std::shared_ptr<reflect::DynObject>& object);
   /// Serializes the object (and, in Eager mode, its metadata/code closure)
   /// into the wire payload of a push.
   [[nodiscard]] ObjectPush build_push(const std::shared_ptr<reflect::DynObject>& object);
+
+  /// What a session push carries for one object: the graph's TypeInfo
+  /// entries (root first) and the standalone payload bytes.
+  struct SessionObject {
+    std::vector<serial::TypeInfoEntry> types;
+    std::string encoding;
+    std::vector<std::uint8_t> payload;
+  };
+  [[nodiscard]] SessionObject build_session_object(
+      const std::shared_ptr<reflect::DynObject>& object);
   /// Converts a push response into the PushAck (or throws like send_object).
   [[nodiscard]] static PushAck ack_from_response(const Message& response,
                                                  std::string_view to);
@@ -247,16 +256,16 @@ class Peer {
     std::vector<std::size_t> fresh;
   };
   [[nodiscard]] SessionSend build_session_push(const std::string& to,
-                                               const serial::Envelope& envelope);
-  PushAck send_object_session(std::string_view to, const serial::Envelope& envelope);
+                                               const SessionObject& object);
+  PushAck send_object_session(std::string_view to, const SessionObject& object);
   void send_session_attempt(const std::string& recipient,
-                            std::shared_ptr<const serial::Envelope> envelope,
+                            std::shared_ptr<const SessionObject> object,
                             std::shared_ptr<std::promise<PushAck>> promise,
                             int retries_left);
 
   /// One queued entry of a recipient's batching window.
   struct PendingPush {
-    std::shared_ptr<const serial::Envelope> envelope;
+    std::shared_ptr<const SessionObject> object;
     std::shared_ptr<std::promise<PushAck>> promise;
   };
   /// Dispatches one SessionBatch built from `items` (plans are made at

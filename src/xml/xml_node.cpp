@@ -15,6 +15,13 @@ XmlNode& XmlNode::set_attr(std::string_view name, std::string_view value) {
   return *this;
 }
 
+XmlNode& XmlNode::append_attr(std::string name, std::string value) {
+  // Elements carry a few attributes: skip the 1-2-4 regrowth.
+  if (attributes_.empty()) attributes_.reserve(4);
+  attributes_.emplace_back(std::move(name), std::move(value));
+  return *this;
+}
+
 std::optional<std::string_view> XmlNode::attr(std::string_view name) const noexcept {
   for (const auto& a : attributes_) {
     if (a.name == name) return std::string_view(a.value);

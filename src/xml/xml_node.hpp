@@ -33,7 +33,6 @@ class XmlNode {
 
   [[nodiscard]] const std::string& text() const noexcept { return text_; }
   void set_text(std::string text) { text_ = std::move(text); }
-  void append_text(std::string_view more) { text_.append(more); }
 
   // --- attributes -------------------------------------------------------
   [[nodiscard]] const std::vector<XmlAttribute>& attributes() const noexcept {
@@ -41,6 +40,9 @@ class XmlNode {
   }
   /// Sets (or overwrites) an attribute; insertion order is preserved.
   XmlNode& set_attr(std::string_view name, std::string_view value);
+  /// Appends an attribute the caller knows is absent (the parser, which
+  /// rejects duplicates itself): no lookup and no copy.
+  XmlNode& append_attr(std::string name, std::string value);
   [[nodiscard]] std::optional<std::string_view> attr(std::string_view name) const noexcept;
   /// Attribute lookup that throws XmlError when absent — for required fields.
   [[nodiscard]] std::string_view required_attr(std::string_view name) const;

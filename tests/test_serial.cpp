@@ -270,6 +270,23 @@ TEST(BinarySerializer, DetectsTruncationAndTrailingBytes) {
   EXPECT_THROW((void)binary.deserialize(padded), SerialError);
 }
 
+TEST(BinarySerializer, RejectsNestingDeeperThanTheCap) {
+  const auto nested_lists = [](std::size_t levels) {
+    Value v{Value::List{}};
+    for (std::size_t i = 1; i < levels; ++i) v = Value(Value::List{std::move(v)});
+    return v;
+  };
+  BinarySerializer binary;
+  const Value deepest = nested_lists(1024);
+  EXPECT_EQ(binary.deserialize(binary.serialize(deepest)), deepest);
+  EXPECT_THROW((void)binary.deserialize(binary.serialize(nested_lists(1025))), SerialError);
+  // A list count far beyond the bytes present must not size an allocation.
+  std::vector<std::uint8_t> count_bomb = {'P', 'T', 'I', 'B', 1, 6};
+  count_bomb.insert(count_bomb.end(), 8, 0xFF);
+  count_bomb.push_back(0x7F);
+  EXPECT_THROW((void)binary.deserialize(count_bomb), SerialError);
+}
+
 TEST(BinarySerializer, StringPoolingShrinksRepetition) {
   BinarySerializer binary;
   Value::List many;
@@ -322,18 +339,18 @@ TEST_P(EnvelopeCase, RoundTripsWithProvenance) {
   EnvelopeBuilder builder(serializers.get(GetParam()), &domain.registry());
   const Envelope envelope = builder.build(Value(person));
 
-  EXPECT_EQ(envelope.encoding, GetParam());
-  ASSERT_EQ(envelope.types.size(), 2u);
-  EXPECT_EQ(envelope.types[0].type_name, "teamA.Person");
-  EXPECT_EQ(envelope.types[0].assembly_name, "teamA.people");
-  EXPECT_EQ(envelope.types[0].download_path, "net://alice/teamA.people");
-  EXPECT_FALSE(envelope.types[0].guid.is_nil());
+  EXPECT_EQ(envelope.encoding(), GetParam());
+  ASSERT_EQ(envelope.types().size(), 2u);
+  EXPECT_EQ(envelope.types()[0].type_name, "teamA.Person");
+  EXPECT_EQ(envelope.types()[0].assembly_name, "teamA.people");
+  EXPECT_EQ(envelope.types()[0].download_path, "net://alice/teamA.people");
+  EXPECT_FALSE(envelope.types()[0].guid.is_nil());
 
   const Envelope back = Envelope::from_bytes(envelope.to_bytes());
-  EXPECT_EQ(back.types, envelope.types);
-  EXPECT_EQ(back.encoding, envelope.encoding);
+  EXPECT_EQ(back.types(), envelope.types());
+  EXPECT_EQ(back.encoding(), envelope.encoding());
 
-  const Value restored = serializers.get(back.encoding).deserialize(back.payload);
+  const Value restored = back.read_payload(serializers);
   EXPECT_EQ(restored.as_object()->get("name").as_string(), "Alice");
 }
 
@@ -346,11 +363,12 @@ TEST(Envelope, WrapperSizeExcludesPayload) {
   auto person = make_person(domain, "Alice");
   SerializerRegistry serializers = SerializerRegistry::with_defaults();
   EnvelopeBuilder builder(serializers.get("binary"), &domain.registry());
-  const Envelope envelope = builder.build(Value(person));
-  EXPECT_GT(envelope.wrapper_size(), 0u);
-  // Base64 inflates the payload by ~4/3, so the wrapper estimate is a
-  // lower bound; it must at least be far smaller than the whole message.
-  EXPECT_LT(envelope.wrapper_size(), envelope.to_bytes().size());
+  const std::size_t message = builder.build(Value(person)).to_bytes().size();
+  const std::size_t payload = serializers.get("binary").serialize(Value(person)).size();
+  // Base64 inflates the payload by ~4/3, so message minus payload bytes is
+  // a lower bound; it must at least be far smaller than the whole message.
+  ASSERT_GT(message, payload);
+  EXPECT_LT(message - payload, message);
 }
 
 TEST(Envelope, RejectsMalformedMessages) {

@@ -25,7 +25,6 @@
 
 #include "core/resource_governor.hpp"
 #include "protocol_fuzz_common.hpp"
-#include "serial/envelope.hpp"
 #include "transport/assembly_hub.hpp"
 #include "transport/async_transport.hpp"
 #include "transport/intro_registry.hpp"
@@ -74,9 +73,7 @@ using transport::SocketTransport;
 /// receiver's own registry — the byte-identity probe.
 [[nodiscard]] std::vector<std::uint8_t> payload_bytes_of(Peer& receiver,
                                                          const transport::DeliveredObject& d) {
-  serial::EnvelopeBuilder builder(receiver.serializers().get("soap"),
-                                  &receiver.domain().registry());
-  return builder.build(reflect::Value(d.object)).payload;
+  return receiver.serializers().get("soap").serialize(reflect::Value(d.object));
 }
 
 /// The differential core: one sender/receiver session pair over `net`,

@@ -953,6 +953,30 @@ TEST(AsyncTransportTest, SystemUniverseOverAsyncTransport) {
   EXPECT_EQ(receiver.stats().objects_received, 8u);
 }
 
+// Concurrent first contacts: a push whose check finds a type missing that a
+// concurrent push has just registered must check again, not give up. A
+// single universe hits that window in roughly one run in ten.
+TEST(AsyncTransportTest, ConcurrentFirstContactsAllDeliver) {
+  for (int round = 0; round < 40; ++round) {
+    auto owned = std::make_unique<AsyncTransport>(AsyncTransportConfig{.workers = 2});
+    core::InteropSystem system(std::move(owned));
+    auto& sender = system.create_runtime("sender");
+    auto& receiver = system.create_runtime("receiver");
+    (void)sender.publish_assembly(fixtures::team_a_people());
+    (void)receiver.publish_assembly(fixtures::team_b_people());
+    auto sub = receiver.subscribe(receiver.type("teamB.Person"), [](const DeliveredObject&) {});
+    std::vector<std::future<PushAck>> pending;
+    for (int i = 0; i < 8; ++i) {
+      const Value args[] = {Value("P" + std::to_string(i))};
+      pending.push_back(sender.send_async("receiver", sender.make("teamA.Person", args)));
+    }
+    for (auto& f : pending) {
+      const PushAck ack = f.get();
+      ASSERT_TRUE(ack.delivered) << "round " << round << ": " << ack.detail;
+    }
+  }
+}
+
 // --- assembly hub -------------------------------------------------------------
 
 TEST(AssemblyHub, PublishAndFetch) {

@@ -109,6 +109,107 @@ TEST(XmlParser, RejectsMalformedDocuments) {
   EXPECT_THROW((void)parse("<a>&#;</a>"), XmlError);         // empty char ref
 }
 
+// Every error message, with its line and column, exactly as the
+// character-at-a-time parser reported it: the run-scanning parser derives
+// the position from the byte offset only when it throws, and must land on
+// the same one. Columns count bytes (UTF-8 and '\r' included).
+TEST(XmlParser, ErrorPositionsArePinned) {
+  struct Case {
+    const char* document;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"", "XML parse error at line 1, column 1: document contains no root element"},
+      {"  \n  just text", "XML parse error at line 2, column 3: expected '<', found 'j'"},
+      {"<a>\n  <b></c>\n</a>",
+       "XML parse error at line 2, column 9: mismatched closing tag </c> for <b>"},
+      {"<a>\n<b>", "XML parse error at line 2, column 4: unterminated element <b>"},
+      {"<a\n  x=1/>", "XML parse error at line 2, column 5: attribute value must be quoted"},
+      {"<a\n x='1'\n x='2'/>", "XML parse error at line 3, column 3: duplicate attribute 'x'"},
+      {"<a>\n&unknown;</a>",
+       "XML parse error at line 2, column 10: unknown entity '&unknown;'"},
+      {"<a/>\n<b/>", "XML parse error at line 2, column 1: content after root element"},
+      {"<a>&#;</a>", "XML parse error at line 1, column 6: empty character reference"},
+      {"<a>\n  &#x;</a>", "XML parse error at line 2, column 6: empty character reference"},
+      {"<a>\n &#x4G;</a>",
+       "XML parse error at line 2, column 7: invalid hexadecimal character reference"},
+      {"<a>&#12a;</a>",
+       "XML parse error at line 1, column 9: invalid decimal character reference"},
+      {"<a\tb='x<y'/>",
+       "XML parse error at line 1, column 8: '<' not allowed in attribute value"},
+      {"<a b='xy", "XML parse error at line 1, column 9: unexpected end of document"},
+      {"<!-- never closed", "XML parse error at line 1, column 18: unterminated comment"},
+      {"<!-- a -- b -->\n<a/>",
+       "XML parse error at line 1, column 8: '--' not allowed inside comment"},
+      {"<?xml version='1.0'?>\n<?pi never closed",
+       "XML parse error at line 2, column 18: unterminated construct, expected '?>'"},
+      {"<a>\n<![CDATA[ never closed</a>",
+       "XML parse error at line 2, column 27: unterminated CDATA section"},
+      {"<1a/>", "XML parse error at line 1, column 2: invalid name start character"},
+      {"<a></ a>", "XML parse error at line 1, column 6: invalid name start character"},
+      {"<a>\n  <b>\n    text\n  </b>\n</a  x>",
+       "XML parse error at line 5, column 6: expected '>', found 'x'"},
+      {"<!DOCTYPE x [\n <!ENTITY y 'z'> ",
+       "XML parse error at line 2, column 18: unexpected end of document"},
+      {"<a>\r\n\t<b attr=\"v\"\r\n/></c>",
+       "XML parse error at line 3, column 6: mismatched closing tag </c> for <a>"},
+      {"<a>café ✓ <b></a>",
+       "XML parse error at line 1, column 20: mismatched closing tag </a> for <b>"},
+      {"<a>&amp</a>", "XML parse error at line 1, column 8: expected ';', found '<'"},
+      {"<a>&lt;</a>\n<", "XML parse error at line 2, column 1: content after root element"},
+      {"<a x='1'\n   y/>", "XML parse error at line 2, column 5: expected '=', found '/'"},
+      {"<a>\n\n\n<b/>\n<c></d>",
+       "XML parse error at line 5, column 7: mismatched closing tag </d> for <c>"},
+      {"<a", "XML parse error at line 1, column 3: unexpected end of document"},
+      {"<a><!-- ok --><? ok ?><![CDATA[ok]]></a",
+       "XML parse error at line 1, column 40: unexpected end of document"},
+      {"<a>\n<b>--</b><!-- x --->\n</a>",
+       "XML parse error at line 2, column 17: '--' not allowed inside comment"},
+      {"<M>\n  <T/>\n  <P e=\"soap\">\n    <S:Env>\n  </P>\n</M>",
+       "XML parse error at line 5, column 6: mismatched closing tag </P> for <S:Env>"},
+  };
+  for (const Case& c : cases) {
+    try {
+      (void)parse(c.document);
+      ADD_FAILURE() << "expected XmlError for: " << c.document;
+    } catch (const XmlError& e) {
+      EXPECT_EQ(std::string(e.what()), c.message) << "document: " << c.document;
+    }
+  }
+}
+
+std::string nested(std::size_t levels) {
+  std::string doc;
+  doc.reserve(levels * 7 + 1);
+  for (std::size_t i = 0; i < levels; ++i) doc += "<a>";
+  doc += "x";
+  for (std::size_t i = 0; i < levels; ++i) doc += "</a>";
+  return doc;
+}
+
+TEST(XmlParser, RejectsNestingDeeperThanTheCap) {
+  // 100,000 levels used to recurse until the stack overflowed.
+  try {
+    (void)parse(nested(100000));
+    FAIL() << "expected XmlError";
+  } catch (const XmlError& e) {
+    std::string expected = "XML parse error at line 1, column ";
+    expected += std::to_string(kMaxDepth * 3 + 1) + ": elements nest deeper than ";
+    expected += std::to_string(kMaxDepth) + " levels";
+    EXPECT_EQ(std::string(e.what()), expected);
+  }
+  EXPECT_THROW((void)parse(nested(kMaxDepth + 1)), XmlError);
+  // 100,000 open tags and nothing else: the cap fires before the end.
+  EXPECT_THROW((void)parse(nested(100000).substr(0, 3 * 100000)), XmlError);
+
+  const XmlNode deepest = parse(nested(kMaxDepth));
+  std::size_t depth = 1;
+  for (const XmlNode* n = &deepest; !n->children().empty(); n = &n->children().front()) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, kMaxDepth);
+}
+
 TEST(XmlParser, AttributeValueMayContainBothQuoteKinds) {
   const XmlNode n = parse("<t a=\"it's\" b='say \"hi\"'/>");
   EXPECT_EQ(*n.attr("a"), "it's");

@@ -33,7 +33,9 @@ import os
 import sys
 
 # (file, benchmark name, counter) triples whose values are deterministic
-# functions of the fixed seeds — the committed trajectory pins them.
+# functions of the fixed seeds — the committed trajectory pins them. The
+# envelope rows pin the size of the hybrid message per encoding (Person as
+# soap/binary/xml, a width-32 object as soap).
 DETERMINISTIC = [
     ("BENCH_transport.json", "BM_Protocol/0/100", "wire_bytes"),
     ("BENCH_transport.json", "BM_Protocol/0/100", "messages"),
@@ -46,6 +48,10 @@ DETERMINISTIC = [
     ("BENCH_scale.json", "BM_ScenarioPublishStorm/1000/2", "accepts"),
     ("BENCH_scale.json", "BM_ScenarioPublishStorm/16000/0", "net_bytes"),
     ("BENCH_scale.json", "BM_ScenarioPublishStorm/16000/3", "net_bytes"),
+    ("BENCH_envelope.json", "BM_EnvelopeBuild/0", "message_bytes"),
+    ("BENCH_envelope.json", "BM_EnvelopeBuild/1", "message_bytes"),
+    ("BENCH_envelope.json", "BM_EnvelopeBuild/2", "message_bytes"),
+    ("BENCH_envelope.json", "BM_EnvelopeBuild/3", "message_bytes"),
     ("BENCH_conformance.json", "BM_ImplicitCheckCached", "cache_hit_rate"),
     ("BENCH_conformance.json", "BM_ImplicitCheckCached", "allocs_per_iter"),
 ]

@@ -3,7 +3,8 @@
 # BENCH_<name>.json at the repo root — the bench trajectory consumed by
 # ROADMAP.md's performance notes. Usage:
 #
-#   tools/run_benches.sh                # conformance + typedesc + concurrent + api + transport + scale
+#   tools/run_benches.sh                # conformance + typedesc + concurrent + api + envelope
+#                                       # + transport + scale
 #   tools/run_benches.sh all            # every bench binary
 #   tools/run_benches.sh --smoke        # CI mode: every binary, tiny iteration
 #                                       # counts, JSON validated, nothing at the
@@ -32,7 +33,7 @@ if [[ "${1:-}" == "--smoke" ]]; then
 elif [[ "${1:-}" == "all" ]]; then
   BENCHES=("${ALL_BENCHES[@]}")
 else
-  BENCHES=(conformance typedesc concurrent api transport scale)
+  BENCHES=(conformance typedesc concurrent api envelope transport scale)
 fi
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
