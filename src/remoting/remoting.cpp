@@ -1,5 +1,6 @@
 #include "remoting/remoting.hpp"
 
+#include <unordered_set>
 #include <vector>
 
 #include "remoting/remoting_error.hpp"
@@ -59,20 +60,31 @@ std::shared_ptr<DynObject> Remoting::import_ref(std::string_view host_peer,
 std::shared_ptr<DynObject> Remoting::import_ref(std::string_view host_peer,
                                                 std::uint64_t object_id,
                                                 const reflect::TypeDescription& type) {
-  complete_description_closure(host_peer);
+  complete_description_closure(host_peer, type);
   auto ref = DynObject::make(type.qualified_name(), util::Guid{});
   ref->set(kRemotePeerField, Value(std::string(host_peer)));
   ref->set(kRemoteIdField, Value(static_cast<std::int64_t>(object_id)));
   return ref;
 }
 
-void Remoting::complete_description_closure(std::string_view host_peer) {
+void Remoting::complete_description_closure(std::string_view host_peer,
+                                            const reflect::TypeDescription& type) {
+  reflect::TypeRegistry& registry = peer_.domain().registry();
   for (int round = 0; round < 16; ++round) {
+    // Walk the type's closure only: each reference resolves against its
+    // referrer's namespace; what does not resolve is fetched.
     std::vector<std::string> missing;
-    for (const reflect::TypeDescription* d : peer_.domain().registry().user_types()) {
+    std::vector<const reflect::TypeDescription*> frontier{&type};
+    std::unordered_set<const reflect::TypeDescription*> visited;
+    while (!frontier.empty()) {
+      const reflect::TypeDescription* d = frontier.back();
+      frontier.pop_back();
+      if (!visited.insert(d).second) continue;
       const auto need = [&](const std::string& ref) {
         if (ref.empty()) return;
-        if (peer_.domain().registry().resolve(ref, d->namespace_name()) == nullptr) {
+        if (const auto* found = registry.resolve(ref, d->namespace_name())) {
+          frontier.push_back(found);
+        } else {
           missing.push_back(ref);
         }
       };
@@ -98,31 +110,29 @@ bool Remoting::is_remote_ref(const DynObject& obj) const noexcept {
 }
 
 std::vector<std::uint8_t> Remoting::marshal(const Value& value) {
-  // Strip proxy wrappers: the wire carries real state.
-  Value real = value;
-  if (value.kind() == ValueKind::Object && value.as_object()) {
-    if (is_remote_ref(*value.as_object())) {
+  // Objects travel as the peer sends them (proxies unwrapped); a remote
+  // reference never travels by value.
+  const auto by_value = [&](const Value& item) {
+    if (item.kind() != ValueKind::Object || !item.as_object()) return item;
+    Value real = peer_.wire_value(item.as_object());
+    if (is_remote_ref(*real.as_object())) {
       throw RemotingError("remote references cannot be passed by value");
     }
-    real = Value(peer_.proxies().unwrap(value.as_object()));
-  } else if (value.kind() == ValueKind::List) {
+    return real;
+  };
+  Value wire;
+  if (value.kind() == ValueKind::List) {
     Value::List items;
-    for (const Value& item : value.as_list()) {
-      if (item.kind() == ValueKind::Object && item.as_object()) {
-        if (is_remote_ref(*item.as_object())) {
-          throw RemotingError("remote references cannot be passed by value");
-        }
-        items.push_back(Value(peer_.proxies().unwrap(item.as_object())));
-      } else {
-        items.push_back(item);
-      }
-    }
-    real = Value(std::move(items));
+    items.reserve(value.as_list().size());
+    for (const Value& item : value.as_list()) items.push_back(by_value(item));
+    wire = Value(std::move(items));
+  } else {
+    wire = by_value(value);
   }
   serial::ObjectSerializer& serializer =
       peer_.serializers().get(peer_.config().payload_encoding);
   serial::EnvelopeBuilder builder(serializer, &peer_.domain().registry());
-  return builder.build(real).to_bytes();
+  return builder.build(wire).to_bytes();
 }
 
 Value Remoting::unmarshal(std::span<const std::uint8_t> envelope_bytes,
@@ -182,12 +192,9 @@ InvokeResponse Remoting::handle_invoke(std::string_view from, const InvokeReques
     }
     const Value args_value = unmarshal(request.args_envelope, from);
     const Value::List& args = args_value.as_list();
-    Value result = peer_.proxies().invoke(target, request.method_name,
-                                          reflect::Args(args.data(), args.size()));
-    // Results pass by value; strip any wrappers the local call produced.
-    if (result.kind() == ValueKind::Object && result.as_object()) {
-      result = Value(peer_.proxies().unwrap(result.as_object()));
-    }
+    // Results pass by value: marshal strips any wrappers the call produced.
+    const Value result = peer_.proxies().invoke(target, request.method_name,
+                                                reflect::Args(args.data(), args.size()));
     response.ok = true;
     response.result_envelope = marshal(result);
   } catch (const Error& e) {

@@ -75,9 +75,10 @@ class Remoting final : public proxy::RemoteInvoker {
                                reflect::Args args) override;
 
  private:
-  /// Fetches (bounded) every description transitively referenced by the
-  /// locally known user types but not yet resolvable, from `host_peer`.
-  void complete_description_closure(std::string_view host_peer);
+  /// Fetches (bounded) every description transitively referenced by `type`
+  /// but not yet resolvable, from `host_peer`.
+  void complete_description_closure(std::string_view host_peer,
+                                    const reflect::TypeDescription& type);
 
   std::optional<transport::Message> handle(const transport::Message& request);
   transport::InvokeResponse handle_invoke(std::string_view from,

@@ -164,7 +164,7 @@ SessionPush read_session_push(ByteReader& in, const FrameLimits& limits) {
 SessionAck read_session_ack(ByteReader& in, const FrameLimits& limits) {
   SessionAck m;
   const std::uint8_t status = in.read_u8();
-  if (status > static_cast<std::uint8_t>(SessionStatus::Reset)) {
+  if (status > static_cast<std::uint8_t>(SessionStatus::Error)) {
     throw util::ByteBufferError("session ack status " + std::to_string(status) +
                                 " names no SessionStatus");
   }

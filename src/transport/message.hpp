@@ -99,6 +99,7 @@ struct SessionPush {
 enum class SessionStatus : std::uint8_t {
   Ok = 0,     ///< session recognised, verdict in `delivered`/`detail`
   Reset = 1,  ///< receiver lost the session state: replay with intros
+  Error = 2,  ///< handling failed; `detail` is what an ErrorReply would say
 };
 
 struct SessionAck {

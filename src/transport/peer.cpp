@@ -44,6 +44,48 @@ constexpr std::string_view kResourceReplyPrefix = "resource-exhausted: ";
 /// a correctness issue.
 constexpr std::size_t kMaxAdvertisedHashes = 256;
 
+/// The in-band text of a handler failure: a quota refusal carries
+/// kResourceReplyPrefix, so the sender rethrows it typed.
+[[nodiscard]] std::string failure_text(const Error& e) {
+  if (dynamic_cast<const pti::ResourceExhaustedError*>(&e) != nullptr) {
+    return std::string(kResourceReplyPrefix) + e.what();
+  }
+  return e.what();
+}
+
+/// Fails an async push's future, unless it has already settled.
+void fail_slot(std::promise<PushAck>& promise, const std::exception_ptr& error) {
+  try {
+    promise.set_exception(error);
+  } catch (const std::future_error&) {
+    // Settled (or replayed) before the failure: keep its outcome.
+  }
+}
+
+/// The one reading of a push reply, as slot `slot` of a push of `slots`
+/// entries: a SessionBatchAck holds a slot per entry, a SessionAck or
+/// PushAck is the single slot, and an ErrorReply fails every slot with its
+/// text.
+[[nodiscard]] SessionAck reply_slot(Message& response, std::size_t slot, std::size_t slots) {
+  if (auto* acks = std::get_if<SessionBatchAck>(&response.payload)) {
+    if (acks->entries.size() != slots) {
+      throw ProtocolError("batch ack carries " + std::to_string(acks->entries.size()) +
+                          " verdicts for " + std::to_string(slots) + " entries");
+    }
+    return std::move(acks->entries[slot]);
+  }
+  if (auto* ack = std::get_if<SessionAck>(&response.payload); ack != nullptr && slots == 1) {
+    return std::move(*ack);
+  }
+  if (auto* ack = std::get_if<PushAck>(&response.payload); ack != nullptr && slots == 1) {
+    return SessionAck{SessionStatus::Ok, ack->delivered, std::move(ack->detail), {}};
+  }
+  if (const auto* err = std::get_if<ErrorReply>(&response.payload)) {
+    return SessionAck{SessionStatus::Error, false, err->message, {}};
+  }
+  throw ProtocolError("unexpected response to a push: " + std::string(response.kind_name()));
+}
+
 }  // namespace
 
 Peer::Peer(std::string name, Transport& network, std::shared_ptr<AssemblyHub> hub,
@@ -232,47 +274,20 @@ ObjectPush Peer::build_push(const std::shared_ptr<DynObject>& object) {
   return push;
 }
 
-PushAck Peer::ack_from_response(const Message& response, std::string_view to) {
-  if (const auto* ack = std::get_if<PushAck>(&response.payload)) return *ack;
-  if (const auto* err = std::get_if<ErrorReply>(&response.payload)) {
-    if (util::starts_with(err->message, kResourceReplyPrefix)) {
-      throw pti::ResourceExhaustedError(
-          "push to '" + std::string(to) + "' rejected: " +
-          err->message.substr(kResourceReplyPrefix.size()));
-    }
-    throw ProtocolError("push to '" + std::string(to) + "' failed: " + err->message);
-  }
-  throw ProtocolError("unexpected response to ObjectPush: " +
-                      std::string(response.kind_name()));
-}
-
-SessionAck Peer::session_ack_from_response(const Message& response, std::string_view to) {
-  if (const auto* ack = std::get_if<SessionAck>(&response.payload)) return *ack;
-  if (const auto* err = std::get_if<ErrorReply>(&response.payload)) {
-    if (util::starts_with(err->message, kResourceReplyPrefix)) {
-      throw pti::ResourceExhaustedError(
-          "push to '" + std::string(to) + "' rejected: " +
-          err->message.substr(kResourceReplyPrefix.size()));
-    }
-    throw ProtocolError("push to '" + std::string(to) + "' failed: " + err->message);
-  }
-  throw ProtocolError("unexpected response to SessionPush: " +
-                      std::string(response.kind_name()));
-}
-
-Peer::SessionSend Peer::build_session_push(const std::string& to,
-                                           const SessionObject& object) {
-  SessionSend out;
+SessionPush Peer::build_session_push(const std::string& to, const SessionObject& object,
+                                    SessionPlan& out) {
+  out.names.clear();
   out.names.reserve(object.types.size());
   for (const auto& t : object.types) out.names.push_back(t.type_name);
   SessionTable::SendPlan plan = sessions_.plan_send(to, out.names);
   out.token = plan.token;
   out.fresh = plan.fresh;
 
-  out.push.token = plan.token;
-  out.push.wire_types = std::move(plan.wire_ids);
-  out.push.encoding = object.encoding;
-  out.push.payload = object.payload;
+  SessionPush push;
+  push.token = plan.token;
+  push.wire_types = std::move(plan.wire_ids);
+  push.encoding = object.encoding;
+  push.payload = object.payload;
 
   if (!plan.fresh.empty()) {
     // First contact for some envelope types: their description closure
@@ -322,7 +337,7 @@ Peer::SessionSend Peer::build_session_push(const std::string& to,
 
     for (const std::size_t i : plan.fresh) {
       SessionIntro intro;
-      intro.wire_id = out.push.wire_types[i];
+      intro.wire_id = push.wire_types[i];
       intro.type_name = out.names[i];
       intro.assembly_name = object.types[i].assembly_name;
       intro.download_path = object.types[i].download_path;
@@ -332,7 +347,7 @@ Peer::SessionSend Peer::build_session_push(const std::string& to,
         }
       }
       elide_known(intro);
-      out.push.intros.push_back(std::move(intro));
+      push.intros.push_back(std::move(intro));
     }
     for (const std::size_t j : extra_plan.fresh) {
       const TypeDescription* d = extras[j];
@@ -343,7 +358,7 @@ Peer::SessionSend Peer::build_session_push(const std::string& to,
       intro.download_path = d->download_path();
       intro.description_xml = content_xml(*d);
       elide_known(intro);
-      out.push.intros.push_back(std::move(intro));
+      push.intros.push_back(std::move(intro));
     }
     for (const std::size_t j : extra_plan.fresh) {
       out.names.push_back(extra_names[j]);
@@ -359,162 +374,178 @@ Peer::SessionSend Peer::build_session_push(const std::string& to,
       }
       for (const auto& assembly_name : assemblies) {
         if (const auto assembly = hub_->fetch(assembly_name)) {
-          out.push.intro_assembly_names.push_back(assembly_name);
-          out.push.intro_assembly_bytes += assembly->simulated_code_size();
+          push.intro_assembly_names.push_back(assembly_name);
+          push.intro_assembly_bytes += assembly->simulated_code_size();
         }
       }
     }
   }
-  return out;
+  return push;
 }
 
-PushAck Peer::send_object_session(std::string_view to, const SessionObject& object) {
+// --- sender: one completion path --------------------------------------------
+//
+// Every push shape ends in the same two steps: reply_slot reads the reply
+// (an ErrorReply becomes an Error slot), and settle resolves the slot
+// (commit on Ok; on Error throw, typed for quota refusals; one replay on
+// Reset). Async pushes leave through the one tracked dispatch; an
+// unbatched async session push and every Reset replay are a window of one.
+
+template <class Complete>
+void Peer::dispatch(Message request, Complete complete) {
+  outbound_.add();
+  try {
+    network_.send_async(std::move(request),
+                        [this, complete = std::move(complete)](
+                            Message response, std::exception_ptr error) mutable {
+                          // `this` stays valid: ~Peer waits for outbound_ to
+                          // drain, and the transport invokes every callback
+                          // exactly once (failed/detached sends included).
+                          struct Done {
+                            OutboundTracker& tracker;
+                            ~Done() { tracker.done(); }
+                          } done{outbound_};
+                          complete(response, error);
+                        });
+  } catch (...) {
+    outbound_.done();
+    throw;
+  }
+}
+
+std::optional<PushAck> Peer::settle(const std::string& to, SessionAck& ack,
+                                    const SessionPlan* plan, bool may_replay) {
+  hub_->intro_registry().record_all(to, ack.known_desc_hashes);
+  switch (ack.status) {
+    case SessionStatus::Ok:
+      if (plan != nullptr) sessions_.commit_send(to, plan->token, plan->names, plan->fresh);
+      return PushAck{ack.delivered, std::move(ack.detail)};
+    case SessionStatus::Reset:
+      // The receiver lost the session (eviction, restart): start a new
+      // token; the caller replays once with every type introduced inline.
+      sessions_.reset_peer(to);
+      if (!may_replay) throw ProtocolError("session push to '" + to + "' kept resetting");
+      ++stats_.session_retries;
+      return std::nullopt;
+    case SessionStatus::Error:
+      break;
+  }
+  if (util::starts_with(ack.detail, kResourceReplyPrefix)) {
+    throw pti::ResourceExhaustedError("push to '" + to + "' rejected: " +
+                                      ack.detail.substr(kResourceReplyPrefix.size()));
+  }
+  throw ProtocolError("push to '" + to + "' failed: " + ack.detail);
+}
+
+PushAck Peer::send_object(std::string_view to, const std::shared_ptr<DynObject>& object) {
   const std::string recipient(to);
+  if (!config_.use_sessions) {
+    Message response = network_.send(Message{name_, recipient, build_push(object)});
+    ++stats_.objects_sent;
+    SessionAck ack = reply_slot(response, 0, 1);
+    return *settle(recipient, ack, nullptr, false);
+  }
+  const SessionObject session_object = build_session_object(object);
   // Flush-on-sync: a synchronous send must not overtake pushes already
   // queued in this recipient's batching window.
   flush_batch_window(recipient);
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    SessionSend send = build_session_push(recipient, object);
-    const Message response =
-        network_.send(Message{name_, recipient, std::move(send.push)});
+  for (bool may_replay = true;; may_replay = false) {
+    SessionPlan plan;
+    Message response = network_.send(
+        Message{name_, recipient, build_session_push(recipient, session_object, plan)});
     ++stats_.objects_sent;
-    const SessionAck ack = session_ack_from_response(response, recipient);
-    hub_->intro_registry().record_all(recipient, ack.known_desc_hashes);
-    if (ack.status == SessionStatus::Reset) {
-      // The receiver lost the session (eviction, restart): start a new
-      // token and replay once with every type introduced inline.
-      sessions_.reset_peer(recipient);
-      ++stats_.session_retries;
-      continue;
-    }
-    sessions_.commit_send(recipient, send.token, send.names, send.fresh);
-    return PushAck{ack.delivered, ack.detail};
-  }
-  throw ProtocolError("session push to '" + recipient + "' kept resetting");
-}
-
-PushAck Peer::send_object(std::string_view to,
-                          const std::shared_ptr<DynObject>& object) {
-  if (config_.use_sessions) return send_object_session(to, build_session_object(object));
-  ObjectPush push = build_push(object);
-  const Message response =
-      network_.send(Message{name_, std::string(to), std::move(push)});
-  ++stats_.objects_sent;
-  return ack_from_response(response, to);
-}
-
-void Peer::send_session_attempt(const std::string& recipient,
-                                std::shared_ptr<const SessionObject> object,
-                                std::shared_ptr<std::promise<PushAck>> promise,
-                                int retries_left) {
-  try {
-    SessionSend send = build_session_push(recipient, *object);
-    auto token = send.token;
-    outbound_.add();
-    try {
-      network_.send_async(
-          Message{name_, recipient, std::move(send.push)},
-          [this, recipient, object, promise, retries_left, token,
-           names = std::move(send.names), fresh = std::move(send.fresh)](
-              Message response, std::exception_ptr error) {
-            struct Done {
-              OutboundTracker& tracker;
-              ~Done() { tracker.done(); }
-            } done{outbound_};
-            if (error) {
-              promise->set_exception(error);
-              return;
-            }
-            ++stats_.objects_sent;
-            try {
-              const SessionAck ack = session_ack_from_response(response, recipient);
-              hub_->intro_registry().record_all(recipient, ack.known_desc_hashes);
-              if (ack.status == SessionStatus::Reset) {
-                sessions_.reset_peer(recipient);
-                if (retries_left > 0) {
-                  // Replay once with a fresh token, from the transport
-                  // thread — Resets are rare, the nested send is bounded.
-                  ++stats_.session_retries;
-                  send_session_attempt(recipient, object, promise,
-                                       retries_left - 1);
-                  return;
-                }
-                throw ProtocolError("session push to '" + recipient +
-                                    "' kept resetting");
-              }
-              sessions_.commit_send(recipient, token, names, fresh);
-              promise->set_value(PushAck{ack.delivered, ack.detail});
-            } catch (...) {
-              promise->set_exception(std::current_exception());
-            }
-          });
-    } catch (...) {
-      outbound_.done();
-      throw;
-    }
-  } catch (...) {
-    promise->set_exception(std::current_exception());
+    SessionAck ack = reply_slot(response, 0, 1);
+    if (auto done = settle(recipient, ack, &plan, may_replay)) return std::move(*done);
   }
 }
 
 std::future<PushAck> Peer::send_object_async(std::string_view to,
                                              const std::shared_ptr<DynObject>& object) {
-  if (config_.use_sessions) {
+  const std::string recipient(to);
+  if (!config_.use_sessions) {
+    ObjectPush push = build_push(object);
     auto promise = std::make_shared<std::promise<PushAck>>();
     std::future<PushAck> future = promise->get_future();
-    auto session_object = std::make_shared<const SessionObject>(build_session_object(object));
-    const std::string recipient(to);
-    if (config_.session.max_batch > 1) {
-      // Batching window: queue the push; a full window travels as one
-      // SessionBatch frame. The send happens outside the lock.
-      std::vector<PendingPush> ready;
-      {
-        std::scoped_lock lock(batch_mutex_);
-        std::vector<PendingPush>& window = batch_windows_[recipient];
-        window.push_back(PendingPush{std::move(session_object), std::move(promise)});
-        if (window.size() >= config_.session.max_batch) {
-          ready = std::move(window);
-          batch_windows_.erase(recipient);
-        }
-      }
-      if (!ready.empty()) send_batch_attempt(recipient, std::move(ready));
-      return future;
-    }
-    send_session_attempt(recipient, std::move(session_object), std::move(promise), 1);
+    dispatch(Message{name_, recipient, std::move(push)},
+             [this, recipient, promise](Message& response, std::exception_ptr error) {
+               try {
+                 if (error) std::rethrow_exception(error);
+                 ++stats_.objects_sent;
+                 SessionAck ack = reply_slot(response, 0, 1);
+                 promise->set_value(*settle(recipient, ack, nullptr, false));
+               } catch (...) {
+                 promise->set_exception(std::current_exception());
+               }
+             });
     return future;
   }
-  ObjectPush push = build_push(object);
-  auto promise = std::make_shared<std::promise<PushAck>>();
-  std::future<PushAck> future = promise->get_future();
-  const std::string recipient(to);
-  outbound_.add();
-  try {
-    network_.send_async(
-        Message{name_, recipient, std::move(push)},
-        [this, promise, recipient](Message response, std::exception_ptr error) {
-          // `this` stays valid: ~Peer waits for outbound_ to drain, and
-          // the transport invokes every callback exactly once (failed/
-          // detached sends included).
-          struct Done {
-            OutboundTracker& tracker;
-            ~Done() { tracker.done(); }
-          } done{outbound_};
-          if (error) {
-            promise->set_exception(error);
-            return;
-          }
-          ++stats_.objects_sent;
-          try {
-            promise->set_value(ack_from_response(response, recipient));
-          } catch (...) {
-            promise->set_exception(std::current_exception());
-          }
-        });
-  } catch (...) {
-    outbound_.done();
-    throw;
+  PendingPush item{build_session_object(object), {}, {}, true};
+  std::future<PushAck> future = item.promise.get_future();
+  const bool batching = config_.session.max_batch > 1;
+  std::vector<PendingPush> ready;
+  if (!batching) {
+    ready.push_back(std::move(item));  // an unbatched push is a window of one
+  } else {
+    // Batching window: queue the push; a full window travels as one
+    // SessionBatch frame. The send happens outside the lock.
+    std::scoped_lock lock(batch_mutex_);
+    std::vector<PendingPush>& window = batch_windows_[recipient];
+    window.push_back(std::move(item));
+    if (window.size() >= config_.session.max_batch) {
+      ready = std::move(window);
+      batch_windows_.erase(recipient);
+    }
   }
+  if (!ready.empty()) send_window(recipient, std::move(ready), batching);
   return future;
+}
+
+void Peer::send_window(const std::string& recipient, std::vector<PendingPush> items,
+                       bool batch) {
+  auto window = std::make_shared<std::vector<PendingPush>>(std::move(items));
+  try {
+    // Plans are made at dispatch time, in queue order: wire ids and the token
+    // reflect the session as the receiver will see it, entry by entry.
+    Message request{name_, recipient, {}};
+    if (batch) {
+      SessionBatch frame;
+      frame.entries.reserve(window->size());
+      for (PendingPush& item : *window) {
+        frame.entries.push_back(build_session_push(recipient, item.object, item.plan));
+      }
+      request.payload = std::move(frame);
+    } else {
+      PendingPush& item = window->front();
+      request.payload = build_session_push(recipient, item.object, item.plan);
+    }
+    dispatch(std::move(request), [this, recipient, window](Message& response,
+                                                          std::exception_ptr error) {
+      if (!error) stats_.objects_sent += window->size();
+      // Each slot settles on its own ack: a Reset in slot i replays entry i
+      // alone; every other slot keeps its verdict and its wire-id commits.
+      for (std::size_t i = 0; i < window->size(); ++i) {
+        PendingPush& item = (*window)[i];
+        try {
+          if (error) std::rethrow_exception(error);
+          SessionAck ack = reply_slot(response, i, window->size());
+          if (auto done = settle(recipient, ack, &item.plan, item.may_replay)) {
+            item.promise.set_value(std::move(*done));
+            continue;
+          }
+          // Replay from the transport thread — Resets are rare, and the
+          // one replay per push bounds the nested sends.
+          item.may_replay = false;
+          std::vector<PendingPush> replay;
+          replay.push_back(std::move(item));
+          send_window(recipient, std::move(replay), false);
+        } catch (...) {
+          fail_slot(item.promise, std::current_exception());
+        }
+      }
+    });
+  } catch (...) {
+    for (PendingPush& item : *window) fail_slot(item.promise, std::current_exception());
+  }
 }
 
 void Peer::flush_batch_window(const std::string& recipient) {
@@ -526,7 +557,7 @@ void Peer::flush_batch_window(const std::string& recipient) {
     ready = std::move(it->second);
     batch_windows_.erase(it);
   }
-  if (!ready.empty()) send_batch_attempt(recipient, std::move(ready));
+  if (!ready.empty()) send_window(recipient, std::move(ready), true);
 }
 
 void Peer::flush_session_batches() {
@@ -539,125 +570,51 @@ void Peer::flush_session_batches() {
     }
     batch_windows_.clear();
   }
-  for (auto& [recipient, items] : ready) send_batch_attempt(recipient, std::move(items));
+  for (auto& [recipient, items] : ready) send_window(recipient, std::move(items), true);
 }
 
-void Peer::send_batch_attempt(const std::string& recipient,
-                              std::vector<PendingPush> items) {
-  auto pending = std::make_shared<std::vector<PendingPush>>(std::move(items));
-  const auto fail_all = [pending](std::exception_ptr error) {
-    for (PendingPush& item : *pending) {
-      try {
-        item.promise->set_exception(error);
-      } catch (const std::future_error&) {
-        // Slot already resolved before the failure — keep its verdict.
-      }
-    }
-  };
-  try {
-    // Plans are made at flush time, in queue order: wire ids and the token
-    // reflect the session as the receiver will see it, entry by entry.
-    auto sends = std::make_shared<std::vector<SessionSend>>();
-    sends->reserve(pending->size());
-    SessionBatch batch;
-    batch.entries.reserve(pending->size());
-    for (const PendingPush& item : *pending) {
-      sends->push_back(build_session_push(recipient, *item.object));
-      batch.entries.push_back(std::move(sends->back().push));
-    }
-    outbound_.add();
-    try {
-      network_.send_async(
-          Message{name_, recipient, std::move(batch)},
-          [this, recipient, pending, sends, fail_all](Message response,
-                                                      std::exception_ptr error) {
-            struct Done {
-              OutboundTracker& tracker;
-              ~Done() { tracker.done(); }
-            } done{outbound_};
-            if (error) {
-              fail_all(error);
-              return;
-            }
-            stats_.objects_sent += pending->size();
-            try {
-              const auto* acks = std::get_if<SessionBatchAck>(&response.payload);
-              if (acks == nullptr) {
-                if (const auto* err = std::get_if<ErrorReply>(&response.payload)) {
-                  if (util::starts_with(err->message, kResourceReplyPrefix)) {
-                    throw pti::ResourceExhaustedError(
-                        "batched push to '" + recipient + "' rejected: " +
-                        err->message.substr(kResourceReplyPrefix.size()));
-                  }
-                  throw ProtocolError("batched push to '" + recipient +
-                                      "' failed: " + err->message);
-                }
-                throw ProtocolError("unexpected response to SessionBatch: " +
-                                    std::string(response.kind_name()));
-              }
-              if (acks->entries.size() != pending->size()) {
-                throw ProtocolError(
-                    "batch ack carries " + std::to_string(acks->entries.size()) +
-                    " verdicts for " + std::to_string(pending->size()) + " entries");
-              }
-              // Per-entry commit on the entry's own ack slot: a Reset in
-              // slot i replays entry i alone; every other slot keeps its
-              // verdict and its wire-id commits.
-              for (std::size_t i = 0; i < acks->entries.size(); ++i) {
-                const SessionAck& ack = acks->entries[i];
-                hub_->intro_registry().record_all(recipient, ack.known_desc_hashes);
-                PendingPush& item = (*pending)[i];
-                if (ack.status == SessionStatus::Reset) {
-                  sessions_.reset_peer(recipient);
-                  ++stats_.session_retries;
-                  send_session_attempt(recipient, item.object, item.promise, 1);
-                  continue;
-                }
-                sessions_.commit_send(recipient, (*sends)[i].token, (*sends)[i].names,
-                                      (*sends)[i].fresh);
-                item.promise->set_value(PushAck{ack.delivered, ack.detail});
-              }
-            } catch (...) {
-              fail_all(std::current_exception());
-            }
-          });
-    } catch (...) {
-      outbound_.done();
-      throw;
-    }
-  } catch (...) {
-    fail_all(std::current_exception());
-  }
-}
+// --- receiver: one decision core ---------------------------------------------
 
 Message Peer::handle(const Message& request) {
   if (extra_handler_) {
     if (auto handled = extra_handler_(request)) return std::move(*handled);
   }
+  const std::string& sender = request.sender;
   try {
     if (const auto* push = std::get_if<ObjectPush>(&request.payload)) {
-      return handle_object_push(request, *push);
+      return Message{name_, sender, handle_object_push(sender, *push)};
     }
-    if (const auto* spush = std::get_if<SessionPush>(&request.payload)) {
-      return handle_session_push(request, *spush);
+    if (const auto* push = std::get_if<SessionPush>(&request.payload)) {
+      SessionAck ack = answer_session_push(sender, *push);
+      // Kind 9 answers a failure as ErrorReply, like every other kind.
+      if (ack.status == SessionStatus::Error) {
+        return Message{name_, sender, ErrorReply{std::move(ack.detail)}};
+      }
+      return Message{name_, sender, std::move(ack)};
     }
     if (const auto* batch = std::get_if<SessionBatch>(&request.payload)) {
-      return handle_session_batch(request, *batch);
+      // One framed exchange, one slot per entry, answered strictly in order
+      // through the same per-push answer as kind 9 — batching changes the
+      // wire shape, never a decision, an outcome or their order.
+      ++stats_.session_batches;
+      SessionBatchAck out;
+      out.entries.reserve(batch->entries.size());
+      for (const SessionPush& entry : batch->entries) {
+        out.entries.push_back(answer_session_push(sender, entry));
+      }
+      return Message{name_, sender, std::move(out)};
     }
     if (const auto* ti = std::get_if<TypeInfoRequest>(&request.payload)) {
-      return Message{name_, request.sender, handle_typeinfo(*ti)};
+      return Message{name_, sender, handle_typeinfo(*ti)};
     }
     if (const auto* code = std::get_if<CodeRequest>(&request.payload)) {
-      return Message{name_, request.sender, handle_code(*code)};
+      return Message{name_, sender, handle_code(*code)};
     }
-    return Message{name_, request.sender,
+    return Message{name_, sender,
                    ErrorReply{std::string("peer '") + name_ + "' cannot handle " +
                               request.kind_name()}};
-  } catch (const pti::ResourceExhaustedError& e) {
-    return Message{name_, request.sender,
-                   ErrorReply{std::string(kResourceReplyPrefix) + e.what()}};
   } catch (const Error& e) {
-    return Message{name_, request.sender, ErrorReply{e.what()}};
+    return Message{name_, sender, ErrorReply{failure_text(e)}};
   }
 }
 
@@ -686,161 +643,72 @@ CodeResponse Peer::handle_code(const CodeRequest& request) {
   return response;
 }
 
-std::size_t Peer::fetch_descriptions(std::string_view from, std::vector<std::string> names) {
-  // Deduplicate and drop what we already know.
-  std::set<std::string, util::ICaseLess> unique;
-  std::vector<std::string> wanted;
-  for (auto& n : names) {
-    if (domain_.registry().find(n) != nullptr) continue;
-    if (unique.insert(n).second) wanted.push_back(std::move(n));
-  }
-  if (wanted.empty()) return 0;
-
-  ++stats_.typeinfo_requests;
-  const Message response =
-      network_.send(Message{name_, std::string(from), TypeInfoRequest{std::move(wanted)}});
-  const auto* info = std::get_if<TypeInfoResponse>(&response.payload);
-  if (info == nullptr) {
-    throw ProtocolError("unexpected response to TypeInfoRequest: " +
-                        std::string(response.kind_name()));
-  }
-  std::vector<TypeDescription> parsed;
-  parsed.reserve(info->descriptions_xml.size());
-  for (const auto& xml_text : info->descriptions_xml) {
-    parsed.push_back(serial::type_description_from_string(xml_text));
-  }
-  // Registry-boundary name governance: registering a description makes its
-  // name permanent (TypeRegistry is append-only), so before anything is
-  // added the supplying peer's distinct-name budget is charged for every
-  // description we do not already hold. Over budget, the whole batch is
-  // refused (ResourceExhaustedError) and nothing sticks — the transient
-  // interns the parse created stay cold and reclaimable by eviction.
-  if (PeerQuotaTable* quotas = network_.peer_quotas();
-      quotas != nullptr && quotas->enabled()) {
-    std::size_t fresh = 0;
-    for (const auto& d : parsed) {
-      if (domain_.registry().find_by_id(d.name_id()) == nullptr) ++fresh;
-    }
-    quotas->charge_new_names(from, fresh);
-  }
-  std::size_t registered = 0;
-  for (auto& d : parsed) {
-    domain_.registry().add(std::move(d));
-    ++registered;
-  }
-  return registered;
-}
-
-CheckResult Peer::check_with_fetch(const TypeDescription& source,
-                                   const TypeDescription& target,
-                                   std::string_view sender) {
-  CheckResult result = checker_.check(source, target);
-  // A concurrent push may register a missing type between the check and
-  // the fetch, which then has nothing left to ask for: that is progress too.
-  const auto any_known = [&](const std::vector<std::string>& names) {
-    return std::any_of(names.begin(), names.end(), [&](const std::string& name) {
-      return domain_.registry().find(name) != nullptr;
-    });
-  };
-  std::size_t rounds = 0;
-  while (result.needs_more_types() && config_.mode == ProtocolMode::Optimistic &&
-         rounds < config_.max_fetch_rounds) {
-    ++rounds;
-    if (fetch_descriptions(sender, result.missing_types) == 0 &&
-        !any_known(result.missing_types)) {
-      break;  // the sender cannot help further
-    }
-    result = checker_.check(source, target);
-  }
-  return result;
-}
-
-void Peer::ensure_code(const TypeInfoEntry& entry, std::string_view sender,
-                       bool& any_download) {
-  if (domain_.is_loaded(entry.type_name)) return;
-
-  // Resolve which assembly implements the type: the envelope carries it;
-  // the registered description is the fallback.
-  std::string assembly_name = entry.assembly_name;
-  std::string path = entry.download_path;
-  if (assembly_name.empty()) {
-    if (const TypeDescription* d = domain_.registry().find(entry.type_name)) {
-      assembly_name = d->assembly_name();
-      path = d->download_path();
-    }
-  }
-  if (assembly_name.empty()) {
-    throw ProtocolError("no assembly known for type '" + entry.type_name + "'");
-  }
-  if (domain_.has_assembly(assembly_name)) return;  // another type loaded it
-
-  std::string host{download_host(path)};
-  if (host.empty()) host = std::string(sender);
-
-  ++stats_.code_requests;
-  any_download = true;
-  const Message response =
-      network_.send(Message{name_, host, CodeRequest{assembly_name}});
-  const auto* code = std::get_if<CodeResponse>(&response.payload);
-  if (code == nullptr || !code->found) {
-    throw ProtocolError("assembly '" + assembly_name + "' is not available from '" +
-                        host + "'");
-  }
-  const auto assembly = hub_->fetch(assembly_name);
-  if (!assembly) {
-    throw ProtocolError("assembly '" + assembly_name +
-                        "' acknowledged but missing from the hub");
-  }
-  domain_.load_assembly(assembly, path);
-}
-
-void Peer::ensure_types_usable(const std::vector<TypeInfoEntry>& types,
-                               std::string_view counterpart) {
-  std::vector<std::string> unknown;
-  for (const auto& t : types) {
-    if (domain_.registry().find(t.type_name) == nullptr) unknown.push_back(t.type_name);
-  }
-  if (!unknown.empty()) {
-    fetch_descriptions(counterpart, unknown);
-    for (const auto& t : types) {
-      if (domain_.registry().find(t.type_name) == nullptr) {
-        throw ProtocolError("'" + std::string(counterpart) +
-                            "' could not describe type '" + t.type_name + "'");
-      }
-    }
-  }
-  bool any_download = false;
-  for (const auto& entry : types) {
-    ensure_code(entry, counterpart, any_download);
-  }
-}
-
-SessionAck Peer::deliver_session_payload(const std::string& sender,
-                                         const SessionPush& push,
-                                         const std::string& matched_interest,
-                                         util::InternedName matched_id) {
-  serial::ObjectSerializer& serializer = serializers_.get(push.encoding);
-  const reflect::Value root = serializer.deserialize(push.payload);
-  if (root.kind() != reflect::ValueKind::Object || !root.as_object()) {
+PushAck Peer::handle_object_push(const std::string& sender, const ObjectPush& push) {
+  ++stats_.objects_received;
+  const Envelope envelope = Envelope::from_bytes(push.envelope);
+  // Eager extras land before the decision: descriptions through the
+  // registry boundary, then the prepaid assemblies.
+  register_descriptions(sender, push.eager_descriptions_xml);
+  load_prepaid_assemblies(push.eager_assembly_names);
+  if (envelope.types().empty()) {
     ++stats_.objects_rejected;
-    return SessionAck{SessionStatus::Ok, false, "payload root is not an object", {}};
+    return PushAck{false, "envelope carries no object types"};
   }
+  Verdict verdict = decide(sender, envelope.types(), nullptr);
+  if (!verdict.conformant) return PushAck{false, std::move(verdict.detail)};
+  return deliver(sender, envelope.read_payload(serializers_), std::move(verdict));
+}
 
-  DeliveredObject delivered;
-  delivered.object = root.as_object();
-  domain_.fill_missing_fields(*delivered.object);
-  delivered.adapted = proxies_.wrap(delivered.object, matched_interest);
-  delivered.interest_type = matched_interest;
-  delivered.interest_id = matched_id;
-  delivered.sender = sender;
-  if (config_.retain_delivered) {
-    std::scoped_lock lock(delivered_mutex_);
-    delivered_.push_back(delivered);
+SessionAck Peer::answer_session_push(const std::string& sender, const SessionPush& push) {
+  try {
+    SessionAck ack = process_session_push(sender, push);
+    advertise_known_descriptions(push, ack);
+    return ack;
+  } catch (const Error& e) {
+    return SessionAck{SessionStatus::Error, false, failure_text(e), {}};
   }
-  ++stats_.objects_delivered;
-  if (on_delivery_) on_delivery_(delivered);
+}
 
-  return SessionAck{SessionStatus::Ok, true, matched_interest, {}};
+SessionAck Peer::process_session_push(const std::string& sender, const SessionPush& push) {
+  ++stats_.objects_received;
+  ++stats_.session_pushes;
+
+  // Session bookkeeping first: adopt/refresh the inbound session, learn
+  // the inline intros (idempotent), register their descriptions. The
+  // distinct-name budget for intro names was already charged at the
+  // transport seam (count_new_names), before this handler ran.
+  sessions_.open_inbound(sender, push.token);
+  for (const SessionIntro& intro : push.intros) {
+    if (sessions_.learn(sender, push.token, intro)) ++stats_.session_intros;
+    if (!intro.description_xml.empty() &&
+        domain_.registry().find(intro.type_name) == nullptr) {
+      // The XML is content-only; provenance comes from the intro fields.
+      TypeDescription d = serial::type_description_from_string(intro.description_xml);
+      d.set_assembly_name(intro.assembly_name);
+      d.set_download_path(intro.download_path);
+      domain_.registry().add(std::move(d));
+    }
+  }
+  load_prepaid_assemblies(push.intro_assembly_names);
+
+  if (push.wire_types.empty()) {
+    ++stats_.objects_rejected;
+    return SessionAck{SessionStatus::Ok, false, "envelope carries no object types", {}};
+  }
+  std::vector<TypeInfoEntry> entries;
+  if (!sessions_.resolve(sender, push.token, push.wire_types, entries)) {
+    // Unknown wire ids: the session that established them is gone (evicted
+    // or replaced). Tell the sender to replay with intros.
+    ++stats_.session_resets;
+    return SessionAck{SessionStatus::Reset, false, "session state lost", {}};
+  }
+  Verdict verdict = decide(sender, entries, &push);
+  if (!verdict.conformant) {
+    return SessionAck{SessionStatus::Ok, false, std::move(verdict.detail), {}};
+  }
+  PushAck ack = deliver(
+      sender, serializers_.get(push.encoding).deserialize(push.payload), std::move(verdict));
+  return SessionAck{SessionStatus::Ok, ack.delivered, std::move(ack.detail), {}};
 }
 
 void Peer::advertise_known_descriptions(const SessionPush& push, SessionAck& ack) {
@@ -867,279 +735,108 @@ void Peer::advertise_known_descriptions(const SessionPush& push, SessionAck& ack
   }
 }
 
-Message Peer::handle_session_push(const Message& request, const SessionPush& push) {
-  SessionAck ack = process_session_push(request.sender, push);
-  advertise_known_descriptions(push, ack);
-  return Message{name_, request.sender, std::move(ack)};
-}
-
-Message Peer::handle_session_batch(const Message& request, const SessionBatch& batch) {
-  // One framed exchange, one verdict slot per entry, processed strictly in
-  // order through the same per-push protocol as kind 9 — batching changes
-  // the wire shape, never a decision or the order decisions are made in.
-  ++stats_.session_batches;
-  SessionBatchAck out;
-  out.entries.reserve(batch.entries.size());
-  for (const SessionPush& entry : batch.entries) {
-    SessionAck ack = process_session_push(request.sender, entry);
-    advertise_known_descriptions(entry, ack);
-    out.entries.push_back(std::move(ack));
-  }
-  return Message{name_, request.sender, std::move(out)};
-}
-
-SessionAck Peer::process_session_push(const std::string& sender, const SessionPush& push) {
-  ++stats_.objects_received;
-  ++stats_.session_pushes;
-
-  // Session bookkeeping first: adopt/refresh the inbound session, learn
-  // the inline intros (idempotent), register their descriptions. The
-  // distinct-name budget for intro names was already charged at the
-  // transport seam (count_new_names), before this handler ran.
-  sessions_.open_inbound(sender, push.token);
-  for (const SessionIntro& intro : push.intros) {
-    if (sessions_.learn(sender, push.token, intro)) ++stats_.session_intros;
-    if (!intro.description_xml.empty() &&
-        domain_.registry().find(intro.type_name) == nullptr) {
-      // The XML is content-only; provenance comes from the intro fields.
-      TypeDescription d = serial::type_description_from_string(intro.description_xml);
-      d.set_assembly_name(intro.assembly_name);
-      d.set_download_path(intro.download_path);
-      domain_.registry().add(std::move(d));
-    }
-  }
-  // Eager-mode extras: assemblies prepaid alongside the intros.
-  for (const auto& assembly_name : push.intro_assembly_names) {
-    if (!domain_.has_assembly(assembly_name)) {
-      if (const auto assembly = hub_->fetch(assembly_name)) {
-        domain_.load_assembly(assembly, "");
-      }
-    }
-  }
-
-  if (push.wire_types.empty()) {
-    ++stats_.objects_rejected;
-    return SessionAck{SessionStatus::Ok, false, "envelope carries no object types", {}};
-  }
-
-  std::vector<TypeInfoEntry> entries;
-  if (!sessions_.resolve(sender, push.token, push.wire_types, entries)) {
-    // Unknown wire ids: the session that established them is gone (evicted
-    // or replaced). Tell the sender to replay with intros.
-    ++stats_.session_resets;
-    return SessionAck{SessionStatus::Reset, false, "session state lost", {}};
-  }
-
-  // The warmed path: a decisive verdict cached for this exact envelope
-  // type set under the current invalidation generation. No registry walk,
-  // no conformance check, no nested exchange.
-  const std::uint32_t root_id = push.wire_types.front();
-  if (auto verdict = sessions_.find_verdict(sender, push.token, root_id, push.wire_types)) {
-    ++stats_.session_verdict_hits;
-    if (!verdict->conformant) {
-      ++stats_.objects_rejected;
-      return SessionAck{SessionStatus::Ok, false, verdict->detail, {}};
-    }
-    if (verdict->code_ready) {
-      ++stats_.code_cache_hits;
-    } else {
-      const std::uint64_t gen = sessions_.generation();
-      bool any_download = false;
-      for (const auto& entry : entries) ensure_code(entry, sender, any_download);
-      if (!any_download) ++stats_.code_cache_hits;
-      verdict->code_ready = true;
-      sessions_.store_verdict(sender, push.token, root_id, *verdict, gen);
-    }
-    return deliver_session_payload(sender, push, verdict->matched_interest,
-                                   verdict->matched_id);
-  }
-
-  // Cold half: the full protocol, same semantics and same observable
-  // decisions as a cold ObjectPush — only the transport shape differs.
-  // The generation is read before any conformance work so a concurrent
-  // invalidation discards (rather than corrupts) the cached outcome.
+Peer::Verdict Peer::decide(const std::string& sender, const std::vector<TypeInfoEntry>& types,
+                           const SessionPush* session) {
+  // Read before any conformance work, so a concurrent invalidation discards
+  // (rather than corrupts) the verdict this push caches.
   const std::uint64_t gen = sessions_.generation();
-
-  std::vector<std::string> unknown;
-  for (const auto& entry : entries) {
-    if (domain_.registry().find(entry.type_name) == nullptr) {
-      unknown.push_back(entry.type_name);
+  const auto cache = [&](const Verdict& verdict) {
+    if (session != nullptr) {
+      sessions_.store_verdict(sender, session->token, session->wire_types.front(), verdict,
+                              gen);
     }
-  }
-  if (unknown.empty()) {
-    ++stats_.typeinfo_cache_hits;
-  } else {
-    if (config_.mode != ProtocolMode::Optimistic) {
-      throw ProtocolError("eager push from '" + sender + "' missing descriptions");
-    }
-    fetch_descriptions(sender, unknown);
-    for (const auto& entry : entries) {
-      if (domain_.registry().find(entry.type_name) == nullptr) {
-        throw ProtocolError("sender '" + sender + "' could not describe type '" +
-                            entry.type_name + "'");
-      }
-    }
-  }
-
-  const TypeDescription* pushed = domain_.registry().find(entries.front().type_name);
-  bool undecided = false;
-  const auto accept = [&](const InterestEntry& entry) {
-    const TypeDescription* interest = domain_.registry().find_by_id(entry.interest);
-    if (interest == nullptr) return false;
-    const CheckResult result = check_with_fetch(*pushed, *interest, sender);
-    if (result.needs_more_types()) undecided = true;
-    if (!result.conformant) return false;
-    switch (config_.matcher) {
-      case MatcherKind::ImplicitStructural:
-        return true;
-      case MatcherKind::Exact:
-        return result.plan.kind() == conform::ConformanceKind::Identity;
-      case MatcherKind::Nominal:
-        return result.plan.kind() == conform::ConformanceKind::Identity ||
-               result.plan.kind() == conform::ConformanceKind::Explicit;
-      case MatcherKind::TaggedStructural: {
-        conform::TaggedStructuralMatcher tagged(domain_.registry());
-        return tagged.matches(*pushed, *interest);
-      }
-    }
-    return false;
   };
-  SessionTable::Verdict verdict;
-  verdict.wire_types = push.wire_types;
-  if (const auto match = hub_->interests().match_first(sub_, accept)) {
-    verdict.conformant = true;
-    verdict.matched_interest =
-        domain_.registry().find_by_id(match->interest)->qualified_name();
-    verdict.matched_id = match->interest;
+  std::optional<Verdict> cached;
+  if (session != nullptr) {
+    cached = sessions_.find_verdict(sender, session->token, session->wire_types.front(),
+                                    session->wire_types);
+  }
+  Verdict verdict;
+  if (cached) {
+    // The warmed path: a decisive verdict for this exact type set under the
+    // current generation. No registry walk, no conformance check, no
+    // nested exchange.
+    ++stats_.session_verdict_hits;
+    verdict = std::move(*cached);
+  } else {
+    // Protocol step 2: descriptions for the graph's unknown types.
+    if (!describe_types(types, sender, config_.mode == ProtocolMode::Optimistic)) {
+      ++stats_.typeinfo_cache_hits;
+    }
+
+    // Protocol step 3: conformance against the interest set, gated by the
+    // configured matcher (the paper's rule by default, a Section 2
+    // baseline otherwise). The declaration-ordered scan lives in the hub's
+    // shared InterestIndex (match_first pins its snapshot for the
+    // duration); the accept predicate is the full checker — potentially
+    // fetching, hence slow — and the first match wins.
+    const TypeDescription* pushed = domain_.registry().find(types.front().type_name);
+    bool undecided = false;
+    const auto accept = [&](const InterestEntry& entry) {
+      const TypeDescription* interest = domain_.registry().find_by_id(entry.interest);
+      if (interest == nullptr) return false;
+      const CheckResult result = check_with_fetch(*pushed, *interest, sender);
+      if (result.needs_more_types()) undecided = true;
+      if (!result.conformant) return false;
+      switch (config_.matcher) {
+        case MatcherKind::ImplicitStructural:
+          return true;
+        case MatcherKind::Exact:
+          return result.plan.kind() == conform::ConformanceKind::Identity;
+        case MatcherKind::Nominal:
+          return result.plan.kind() == conform::ConformanceKind::Identity ||
+                 result.plan.kind() == conform::ConformanceKind::Explicit;
+        case MatcherKind::TaggedStructural: {
+          conform::TaggedStructuralMatcher tagged(domain_.registry());
+          return tagged.matches(*pushed, *interest);
+        }
+      }
+      return false;
+    };
+    if (session != nullptr) verdict.wire_types = session->wire_types;
+    if (const auto match = hub_->interests().match_first(sub_, accept)) {
+      verdict.conformant = true;
+      verdict.matched_interest =
+          domain_.registry().find_by_id(match->interest)->qualified_name();
+      verdict.matched_id = match->interest;
+    } else {
+      verdict.detail = "no interest conforms to '" + types.front().type_name + "'";
+      // An undecided rejection (the sender could not supply every
+      // referenced description) stays uncached: a later push may resolve
+      // differently.
+      if (!undecided) cache(verdict);
+    }
   }
   if (!verdict.conformant) {
-    ++stats_.objects_rejected;
-    verdict.detail = "no interest conforms to '" + entries.front().type_name + "'";
-    // An undecided rejection (the sender could not supply every referenced
-    // description) stays uncached: a later push may resolve differently.
-    if (!undecided) sessions_.store_verdict(sender, push.token, root_id, verdict, gen);
-    return SessionAck{SessionStatus::Ok, false, verdict.detail, {}};
-  }
-
-  bool any_download = false;
-  for (const auto& entry : entries) {
-    ensure_code(entry, sender, any_download);
-  }
-  if (!any_download) ++stats_.code_cache_hits;
-  verdict.code_ready = true;
-  sessions_.store_verdict(sender, push.token, root_id, verdict, gen);
-
-  return deliver_session_payload(sender, push, verdict.matched_interest,
-                                 verdict.matched_id);
-}
-
-Message Peer::handle_object_push(const Message& request, const ObjectPush& push) {
-  ++stats_.objects_received;
-  const std::string& sender = request.sender;
-
-  // Eager extras land first (descriptions and pre-paid assemblies).
-  for (const auto& xml_text : push.eager_descriptions_xml) {
-    domain_.registry().add(serial::type_description_from_string(xml_text));
-  }
-  for (const auto& assembly_name : push.eager_assembly_names) {
-    if (!domain_.has_assembly(assembly_name)) {
-      if (const auto assembly = hub_->fetch(assembly_name)) {
-        domain_.load_assembly(assembly, "");
-      }
-    }
-  }
-
-  const Envelope envelope = Envelope::from_bytes(push.envelope);
-  if (envelope.types().empty()) {
-    ++stats_.objects_rejected;
-    return Message{name_, sender, PushAck{false, "envelope carries no object types"}};
-  }
-
-  // Protocol step 2: obtain descriptions for unknown envelope types.
-  std::vector<std::string> unknown;
-  for (const auto& t : envelope.types()) {
-    if (domain_.registry().find(t.type_name) == nullptr) unknown.push_back(t.type_name);
-  }
-  if (unknown.empty()) {
-    ++stats_.typeinfo_cache_hits;
-  } else {
-    if (config_.mode != ProtocolMode::Optimistic) {
-      throw ProtocolError("eager push from '" + sender + "' missing descriptions");
-    }
-    fetch_descriptions(sender, unknown);
-    for (const auto& t : envelope.types()) {
-      if (domain_.registry().find(t.type_name) == nullptr) {
-        throw ProtocolError("sender '" + sender + "' could not describe type '" +
-                            t.type_name + "'");
-      }
-    }
-  }
-
-  // Protocol step 3: conformance against the interest set, gated by the
-  // configured matcher (the paper's rule by default, a Section 2 baseline
-  // otherwise). The declaration-ordered scan lives in the hub's shared
-  // InterestIndex now (match_first pins its snapshot for the duration);
-  // the accept predicate below is the full checker — potentially
-  // fetching, hence slow — and first match wins, exactly as before.
-  const TypeDescription* pushed =
-      domain_.registry().find(envelope.types().front().type_name);
-  const auto accept = [&](const InterestEntry& entry) {
-    const TypeDescription* interest = domain_.registry().find_by_id(entry.interest);
-    if (interest == nullptr) return false;
-    const CheckResult result = check_with_fetch(*pushed, *interest, sender);
-    if (!result.conformant) return false;
-    switch (config_.matcher) {
-      case MatcherKind::ImplicitStructural:
-        return true;
-      case MatcherKind::Exact:
-        return result.plan.kind() == conform::ConformanceKind::Identity;
-      case MatcherKind::Nominal:
-        return result.plan.kind() == conform::ConformanceKind::Identity ||
-               result.plan.kind() == conform::ConformanceKind::Explicit;
-      case MatcherKind::TaggedStructural: {
-        conform::TaggedStructuralMatcher tagged(domain_.registry());
-        return tagged.matches(*pushed, *interest);
-      }
-    }
-    return false;
-  };
-  std::string matched_interest;
-  util::InternedName matched_id;
-  if (const auto match = hub_->interests().match_first(sub_, accept)) {
-    matched_interest = domain_.registry().find_by_id(match->interest)->qualified_name();
-    matched_id = match->interest;
-  }
-  if (matched_interest.empty()) {
     // The optimistic pay-off: no conformant interest, no code download.
     ++stats_.objects_rejected;
-    return Message{name_, sender,
-                   PushAck{false, "no interest conforms to '" +
-                                      envelope.types().front().type_name + "'"}};
+    return verdict;
   }
 
-  // Protocol step 4+5: download code for every type in the object graph.
-  bool any_download = false;
-  for (const auto& entry : envelope.types()) {
-    ensure_code(entry, sender, any_download);
+  // Protocol steps 4+5: code for every type in the object graph.
+  if (verdict.code_ready) {
+    ++stats_.code_cache_hits;
+    return verdict;
   }
-  if (!any_download) ++stats_.code_cache_hits;
+  if (!ensure_code(types, sender)) ++stats_.code_cache_hits;
+  verdict.code_ready = true;
+  cache(verdict);
+  return verdict;
+}
 
-  // Decode the payload from the parsed message and hand over, wrapped as
-  // the interest type.
-  const reflect::Value root = envelope.read_payload(serializers_);
+PushAck Peer::deliver(const std::string& sender, const reflect::Value& root, Verdict verdict) {
   if (root.kind() != reflect::ValueKind::Object || !root.as_object()) {
     ++stats_.objects_rejected;
-    return Message{name_, sender, PushAck{false, "payload root is not an object"}};
+    return PushAck{false, "payload root is not an object"};
   }
-
   DeliveredObject delivered;
   delivered.object = root.as_object();
   // Lossy payload encodings (public-only XML) may have dropped private
   // fields; restore the declared shape now that the code is loaded.
   domain_.fill_missing_fields(*delivered.object);
-  delivered.adapted = proxies_.wrap(delivered.object, matched_interest);
-  delivered.interest_type = matched_interest;
-  delivered.interest_id = matched_id;
+  delivered.adapted = proxies_.wrap(delivered.object, verdict.matched_interest);
+  delivered.interest_type = verdict.matched_interest;
+  delivered.interest_id = verdict.matched_id;
   delivered.sender = sender;
   if (config_.retain_delivered) {
     std::scoped_lock lock(delivered_mutex_);
@@ -1147,8 +844,156 @@ Message Peer::handle_object_push(const Message& request, const ObjectPush& push)
   }
   ++stats_.objects_delivered;
   if (on_delivery_) on_delivery_(delivered);
+  return PushAck{true, std::move(verdict.matched_interest)};
+}
 
-  return Message{name_, sender, PushAck{true, matched_interest}};
+bool Peer::describe_types(const std::vector<TypeInfoEntry>& types, std::string_view from,
+                          bool may_fetch) {
+  std::vector<std::string> unknown;
+  for (const auto& t : types) {
+    if (domain_.registry().find(t.type_name) == nullptr) unknown.push_back(t.type_name);
+  }
+  if (unknown.empty()) return false;
+  if (!may_fetch) {
+    throw ProtocolError("eager push from '" + std::string(from) + "' missing descriptions");
+  }
+  fetch_descriptions(from, std::move(unknown));
+  for (const auto& t : types) {
+    if (domain_.registry().find(t.type_name) == nullptr) {
+      throw ProtocolError("sender '" + std::string(from) + "' could not describe type '" +
+                          t.type_name + "'");
+    }
+  }
+  return true;
+}
+
+CheckResult Peer::check_with_fetch(const TypeDescription& source,
+                                   const TypeDescription& target,
+                                   std::string_view sender) {
+  CheckResult result = checker_.check(source, target);
+  // A concurrent push may register a missing type between the check and
+  // the fetch, which then has nothing left to ask for: that is progress too.
+  const auto any_known = [&](const std::vector<std::string>& names) {
+    return std::any_of(names.begin(), names.end(), [&](const std::string& name) {
+      return domain_.registry().find(name) != nullptr;
+    });
+  };
+  std::size_t rounds = 0;
+  while (result.needs_more_types() && config_.mode == ProtocolMode::Optimistic &&
+         rounds < config_.max_fetch_rounds) {
+    ++rounds;
+    if (fetch_descriptions(sender, result.missing_types) == 0 &&
+        !any_known(result.missing_types)) {
+      break;  // the sender cannot help further
+    }
+    result = checker_.check(source, target);
+  }
+  return result;
+}
+
+bool Peer::ensure_code(const std::vector<TypeInfoEntry>& types, std::string_view sender) {
+  bool downloaded = false;
+  for (const TypeInfoEntry& entry : types) {
+    if (domain_.is_loaded(entry.type_name)) continue;
+
+    // Resolve which assembly implements the type: the envelope carries it;
+    // the registered description is the fallback.
+    std::string assembly_name = entry.assembly_name;
+    std::string path = entry.download_path;
+    if (assembly_name.empty()) {
+      if (const TypeDescription* d = domain_.registry().find(entry.type_name)) {
+        assembly_name = d->assembly_name();
+        path = d->download_path();
+      }
+    }
+    if (assembly_name.empty()) {
+      throw ProtocolError("no assembly known for type '" + entry.type_name + "'");
+    }
+    if (domain_.has_assembly(assembly_name)) continue;  // another type loaded it
+
+    std::string host{download_host(path)};
+    if (host.empty()) host = std::string(sender);
+
+    ++stats_.code_requests;
+    downloaded = true;
+    const Message response =
+        network_.send(Message{name_, host, CodeRequest{assembly_name}});
+    const auto* code = std::get_if<CodeResponse>(&response.payload);
+    if (code == nullptr || !code->found) {
+      throw ProtocolError("assembly '" + assembly_name + "' is not available from '" +
+                          host + "'");
+    }
+    const auto assembly = hub_->fetch(assembly_name);
+    if (!assembly) {
+      throw ProtocolError("assembly '" + assembly_name +
+                          "' acknowledged but missing from the hub");
+    }
+    domain_.load_assembly(assembly, path);
+  }
+  return downloaded;
+}
+
+void Peer::ensure_types_usable(const std::vector<TypeInfoEntry>& types,
+                               std::string_view counterpart) {
+  describe_types(types, counterpart, true);
+  ensure_code(types, counterpart);
+}
+
+std::size_t Peer::fetch_descriptions(std::string_view from, std::vector<std::string> names) {
+  // Deduplicate and drop what we already know.
+  std::set<std::string, util::ICaseLess> unique;
+  std::vector<std::string> wanted;
+  for (auto& n : names) {
+    if (domain_.registry().find(n) != nullptr) continue;
+    if (unique.insert(n).second) wanted.push_back(std::move(n));
+  }
+  if (wanted.empty()) return 0;
+
+  ++stats_.typeinfo_requests;
+  const Message response =
+      network_.send(Message{name_, std::string(from), TypeInfoRequest{std::move(wanted)}});
+  const auto* info = std::get_if<TypeInfoResponse>(&response.payload);
+  if (info == nullptr) {
+    throw ProtocolError("unexpected response to TypeInfoRequest: " +
+                        std::string(response.kind_name()));
+  }
+  return register_descriptions(from, info->descriptions_xml);
+}
+
+std::size_t Peer::register_descriptions(std::string_view from,
+                                        const std::vector<std::string>& descriptions_xml) {
+  if (descriptions_xml.empty()) return 0;
+  std::vector<TypeDescription> parsed;
+  parsed.reserve(descriptions_xml.size());
+  for (const auto& xml_text : descriptions_xml) {
+    parsed.push_back(serial::type_description_from_string(xml_text));
+  }
+  // Registry-boundary name governance: registering a description makes its
+  // name permanent (TypeRegistry is append-only), so before anything is
+  // added the supplying peer's distinct-name budget is charged for every
+  // description we do not already hold. Over budget, the whole batch is
+  // refused (ResourceExhaustedError) and nothing sticks — the transient
+  // interns the parse created stay cold and reclaimable by eviction.
+  if (PeerQuotaTable* quotas = network_.peer_quotas();
+      quotas != nullptr && quotas->enabled()) {
+    std::size_t fresh = 0;
+    for (const auto& d : parsed) {
+      if (domain_.registry().find_by_id(d.name_id()) == nullptr) ++fresh;
+    }
+    quotas->charge_new_names(from, fresh);
+  }
+  for (auto& d : parsed) domain_.registry().add(std::move(d));
+  return parsed.size();
+}
+
+void Peer::load_prepaid_assemblies(const std::vector<std::string>& assembly_names) {
+  for (const auto& assembly_name : assembly_names) {
+    if (!domain_.has_assembly(assembly_name)) {
+      if (const auto assembly = hub_->fetch(assembly_name)) {
+        domain_.load_assembly(assembly, "");
+      }
+    }
+  }
 }
 
 }  // namespace pti::transport

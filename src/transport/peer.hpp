@@ -172,8 +172,9 @@ class Peer {
   ///
   /// With config().session.max_batch > 1 (session mode only), async pushes
   /// to the same recipient queue in a batching window and travel as one
-  /// SessionBatch frame once the window fills; the futures resolve when
-  /// the batch's ack arrives. A partially filled window flushes on a
+  /// SessionBatch frame once the window fills; each future resolves from
+  /// its own slot of the batch's ack, so it reports what the push would
+  /// have reported sent alone. A partially filled window flushes on a
   /// synchronous send to that recipient, on flush_session_batches(), and
   /// at peer teardown.
   [[nodiscard]] std::future<PushAck> send_object_async(
@@ -212,17 +213,56 @@ class Peer {
   void ensure_types_usable(const std::vector<serial::TypeInfoEntry>& types,
                            std::string_view counterpart);
 
+  /// The value that travels for `object`: null rejected, proxy unwrapped —
+  /// the shared front half of every push shape and of remoting's marshal.
+  [[nodiscard]] reflect::Value wire_value(const std::shared_ptr<reflect::DynObject>& object);
+
  private:
   Message handle(const Message& request);
-  Message handle_object_push(const Message& request, const ObjectPush& push);
-  Message handle_session_push(const Message& request, const SessionPush& push);
-  Message handle_session_batch(const Message& request, const SessionBatch& batch);
   [[nodiscard]] TypeInfoResponse handle_typeinfo(const TypeInfoRequest& request);
   [[nodiscard]] CodeResponse handle_code(const CodeRequest& request);
 
-  /// The value that travels for `object`: null rejected, proxy unwrapped —
-  /// shared front half of both push shapes.
-  [[nodiscard]] reflect::Value wire_value(const std::shared_ptr<reflect::DynObject>& object);
+  // --- receiver: one decision core, one function per protocol step ------
+
+  using Verdict = SessionTable::Verdict;
+
+  PushAck handle_object_push(const std::string& sender, const ObjectPush& push);
+  /// Answers kind 9, or one entry of kind 11: the push's ack with its
+  /// known-description advertisement, or an Error slot with what it failed
+  /// with, so a failing entry never fails the rest of its batch.
+  SessionAck answer_session_push(const std::string& sender, const SessionPush& push);
+  SessionAck process_session_push(const std::string& sender, const SessionPush& push);
+  /// Hashes of the intro descriptions this push delivered, plus (on Reset)
+  /// the receiver's whole known set, capped.
+  void advertise_known_descriptions(const SessionPush& push, SessionAck& ack);
+
+  /// Protocol steps 2–5 for a push whose graph types are `types` (root
+  /// first). A session push passes itself as `session`: its verdict is
+  /// served from and stored in the session's cache.
+  [[nodiscard]] Verdict decide(const std::string& sender,
+                               const std::vector<serial::TypeInfoEntry>& types,
+                               const SessionPush* session);
+  /// The delivery tail: the decoded `root`, wrapped as the matched interest.
+  PushAck deliver(const std::string& sender, const reflect::Value& root, Verdict verdict);
+  /// Step 2: fetches the descriptions of `types` this peer lacks (refused
+  /// when !may_fetch). Returns false when none was missing.
+  bool describe_types(const std::vector<serial::TypeInfoEntry>& types, std::string_view from,
+                      bool may_fetch);
+  /// Step 3's conformance check, fetching referenced descriptions on demand.
+  [[nodiscard]] conform::CheckResult check_with_fetch(
+      const reflect::TypeDescription& source, const reflect::TypeDescription& target,
+      std::string_view sender);
+  /// Steps 4–5: loads the code of every type in `types`. Returns whether
+  /// any assembly was downloaded.
+  bool ensure_code(const std::vector<serial::TypeInfoEntry>& types, std::string_view sender);
+  /// The registry boundary for supplied descriptions: parse all, charge
+  /// `from`'s distinct-name budget for the new ones, then register all.
+  std::size_t register_descriptions(std::string_view from,
+                                    const std::vector<std::string>& descriptions_xml);
+  void load_prepaid_assemblies(const std::vector<std::string>& assembly_names);
+
+  // --- sender: one completion path ----------------------------------------
+
   /// Serializes the object (and, in Eager mode, its metadata/code closure)
   /// into the wire payload of a push.
   [[nodiscard]] ObjectPush build_push(const std::shared_ptr<reflect::DynObject>& object);
@@ -236,11 +276,6 @@ class Peer {
   };
   [[nodiscard]] SessionObject build_session_object(
       const std::shared_ptr<reflect::DynObject>& object);
-  /// Converts a push response into the PushAck (or throws like send_object).
-  [[nodiscard]] static PushAck ack_from_response(const Message& response,
-                                                 std::string_view to);
-  [[nodiscard]] static SessionAck session_ack_from_response(const Message& response,
-                                                            std::string_view to);
 
   /// Transitive description closure of `roots` in deterministic DFS order
   /// (primitives and unknown names skipped) — what Eager mode ships and
@@ -248,51 +283,36 @@ class Peer {
   [[nodiscard]] std::vector<const reflect::TypeDescription*> collect_closure(
       std::vector<std::string> roots);
 
-  /// One planned SessionPush plus what to commit once it is acknowledged.
-  struct SessionSend {
-    SessionPush push;
+  /// What to commit once a planned session push is acknowledged.
+  struct SessionPlan {
     std::uint64_t token = 0;
     std::vector<std::string> names;
     std::vector<std::size_t> fresh;
   };
-  [[nodiscard]] SessionSend build_session_push(const std::string& to,
-                                               const SessionObject& object);
-  PushAck send_object_session(std::string_view to, const SessionObject& object);
-  void send_session_attempt(const std::string& recipient,
-                            std::shared_ptr<const SessionObject> object,
-                            std::shared_ptr<std::promise<PushAck>> promise,
-                            int retries_left);
+  [[nodiscard]] SessionPush build_session_push(const std::string& to,
+                                               const SessionObject& object, SessionPlan& plan);
 
-  /// One queued entry of a recipient's batching window.
+  /// One async session push awaiting its ack.
   struct PendingPush {
-    std::shared_ptr<const SessionObject> object;
-    std::shared_ptr<std::promise<PushAck>> promise;
+    SessionObject object;
+    std::promise<PushAck> promise;
+    SessionPlan plan;  ///< made when its window is sent
+    bool may_replay = true;
   };
-  /// Dispatches one SessionBatch built from `items` (plans are made at
-  /// flush time so wire ids and the token reflect the current session).
-  void send_batch_attempt(const std::string& recipient, std::vector<PendingPush> items);
+  /// Sends a window as one exchange — a SessionBatch for a batching queue,
+  /// else its single SessionPush — and settles each slot from the reply.
+  /// Failures resolve the futures; nothing is thrown.
+  void send_window(const std::string& recipient, std::vector<PendingPush> window, bool batch);
   void flush_batch_window(const std::string& recipient);
 
-  /// The shared receiver half of kinds 9 and 11: runs the full session
-  /// protocol for one push and returns its verdict (per batch entry too,
-  /// so batching cannot change any observable decision).
-  SessionAck process_session_push(const std::string& sender, const SessionPush& push);
-  /// Attaches the known-description advertisement to an outgoing ack:
-  /// hashes of the intro descriptions this push delivered, plus (on
-  /// Reset) the receiver's whole known set, capped.
-  void advertise_known_descriptions(const SessionPush& push, SessionAck& ack);
-  SessionAck deliver_session_payload(const std::string& sender, const SessionPush& push,
-                                     const std::string& matched_interest,
-                                     util::InternedName matched_id);
-
-  /// Conformance with on-demand description fetching (protocol step 3).
-  [[nodiscard]] conform::CheckResult check_with_fetch(
-      const reflect::TypeDescription& source, const reflect::TypeDescription& target,
-      std::string_view sender);
-
-  /// Downloads (if necessary) the assembly for a type-info entry.
-  void ensure_code(const serial::TypeInfoEntry& entry, std::string_view sender,
-                   bool& any_download);
+  /// The one tracked async send: ~Peer waits for every `complete` to run.
+  template <class Complete>
+  void dispatch(Message request, Complete complete);
+  /// The per-slot settle: Ok commits `plan` and yields the PushAck, Error
+  /// throws what the push failed with, Reset drops the session and yields
+  /// nullopt for the caller's one replay (or throws when none is left).
+  std::optional<PushAck> settle(const std::string& to, SessionAck& ack,
+                                const SessionPlan* plan, bool may_replay);
 
   std::string name_;
   Transport& network_;

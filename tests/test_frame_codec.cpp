@@ -355,6 +355,27 @@ TEST(FrameCodec, AdvertisedHashCountBombCannotAllocate) {
   expect_fault(codec, frame_body(10, body), FrameFault::Corrupt, "hash count bomb");
 }
 
+TEST(FrameCodec, SessionAckStatusAboveErrorIsRejected) {
+  // Status 2 (Error) answers one failed push in its own slot and round-
+  // trips; status 3 names no SessionStatus, alone or inside a batch ack.
+  const FrameCodec codec;
+  transport::SessionBatchAck acks;
+  acks.entries.push_back({transport::SessionStatus::Ok, true, "teamB.Person", {}});
+  acks.entries.push_back(
+      {transport::SessionStatus::Error, false, "resource-exhausted: over budget", {}});
+  for (const Message& valid :
+       {Message{"b", "a", acks}, Message{"b", "a", acks.entries.back()}}) {
+    const std::vector<std::uint8_t> frame = codec.encode(valid);
+    EXPECT_EQ(codec.encode(codec.decode(frame)), frame) << valid.kind_name();
+  }
+
+  // sender "a", recipient "b", status 3, not delivered, empty detail, no hashes.
+  const std::vector<std::uint8_t> ack = {1, 'a', 1, 'b', 3, 0, 0, 0};
+  expect_fault(codec, frame_body(10, ack), FrameFault::Corrupt, "session ack status 3");
+  const std::vector<std::uint8_t> batch_ack = {1, 'a', 1, 'b', 1, 3, 0, 0, 0};
+  expect_fault(codec, frame_body(12, batch_ack), FrameFault::Corrupt, "batch slot status 3");
+}
+
 TEST(FrameCodec, BatchEntryAndHashSetCapsAreEnforced) {
   // Allocation is bounded BEFORE body bytes: entry lists and advertised
   // hash sets above max_list_elements classify as Oversized on decode and

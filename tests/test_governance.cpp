@@ -11,6 +11,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "conform/conformance_cache.hpp"
@@ -21,6 +22,7 @@
 #include "reflect/type_builder.hpp"
 #include "reflect/type_registry.hpp"
 #include "reflect/value.hpp"
+#include "serial/typedesc_xml.hpp"
 #include "transport/assembly_hub.hpp"
 #include "transport/async_transport.hpp"
 #include "transport/peer.hpp"
@@ -500,6 +502,52 @@ TEST(PeerGovernance, ResourceReplyRethrownTyped) {
   auto object = client.domain().instantiate("teamA.Person", args);
   EXPECT_THROW((void)client.send_object("server", object),
                pti::ResourceExhaustedError);
+}
+
+TEST(PeerGovernance, EagerDescriptionsCrossTheRegistryBoundary) {
+  // Eagerly shipped descriptions are registered like fetched ones: only
+  // after the envelope parsed, and only within the sender's distinct-name
+  // budget. A refused push registers nothing.
+  SimNetwork net;
+  auto hub = std::make_shared<AssemblyHub>();
+  Peer receiver("receiver", net, hub);
+  receiver.host_assembly(fixtures::team_b_people());
+  receiver.add_interest("teamB.Person");
+  PeerQuotaConfig budget;
+  budget.max_new_names = 2;
+  net.set_peer_quota("sender", budget);
+  const std::size_t types_before = receiver.domain().registry().size();
+
+  transport::ObjectPush garbage;
+  garbage.envelope = {0x00};
+  for (int i = 0; i < 10; ++i) {
+    garbage.eager_descriptions_xml.push_back(serial::type_description_to_string(
+        reflect::introspect(*reflect::TypeBuilder("eagerq", "T" + std::to_string(i))
+                                 .field("id", "int32")
+                                 .build())));
+  }
+  const Message reply = net.send(Message{"sender", "receiver", std::move(garbage)});
+  EXPECT_TRUE(std::holds_alternative<ErrorReply>(reply.payload)) << reply.kind_name();
+  EXPECT_EQ(receiver.domain().registry().size(), types_before);
+
+  // An honest eager push whose description closure exceeds the budget is
+  // refused typed, before any of it registers.
+  transport::PeerConfig eager;
+  eager.mode = transport::ProtocolMode::Eager;
+  Peer sender("sender", net, hub, eager);
+  sender.host_assembly(fixtures::team_a_people());
+  const reflect::Value args[] = {reflect::Value("Ada")};
+  EXPECT_THROW(
+      (void)sender.send_object("receiver", sender.domain().instantiate("teamA.Person", args)),
+      pti::ResourceExhaustedError);
+  EXPECT_EQ(receiver.domain().registry().size(), types_before);
+  EXPECT_EQ(receiver.delivered_count(), 0u);
+
+  // Within budget, the same push delivers.
+  net.set_peer_quota("sender", PeerQuotaConfig{});
+  EXPECT_TRUE(
+      sender.send_object("receiver", sender.domain().instantiate("teamA.Person", args))
+          .delivered);
 }
 
 // --- TypeRegistry::references ------------------------------------------------

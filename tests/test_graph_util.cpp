@@ -2,6 +2,7 @@
 // wildcard-interest end-to-end flow they enable alongside.
 #include <gtest/gtest.h>
 
+#include "break_cycles.hpp"
 #include "core/interop.hpp"
 #include "fixtures/sample_types.hpp"
 #include "reflect/domain.hpp"
@@ -45,6 +46,7 @@ TEST(GraphUtil, DeepClonePreservesSharingAndCycles) {
   EXPECT_EQ(cb->get("next").as_object().get(), copy.get());         // cycle closed
   EXPECT_EQ(copy->get("also").as_object().get(), cb.get());         // sharing kept
   EXPECT_NE(cb.get(), b.get());                                     // fresh objects
+  testing_support::break_cycles({Value(a), Value(copy)});
 }
 
 TEST(GraphUtil, DeepCloneOfValuesAndLists) {
@@ -78,6 +80,7 @@ TEST(GraphUtil, MeasureGraphShapes) {
   auto loop = DynObject::make("t.L", util::Guid{});
   loop->set("self", Value(loop));
   EXPECT_TRUE(measure_graph(Value(loop)).has_cycles);
+  testing_support::break_cycles({Value(loop)});
 }
 
 // --- wildcard interests end-to-end ------------------------------------------

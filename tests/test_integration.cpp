@@ -3,6 +3,7 @@
 // signatures, and protocol accounting invariants.
 #include <gtest/gtest.h>
 
+#include "break_cycles.hpp"
 #include "core/interop.hpp"
 #include "fixtures/sample_types.hpp"
 
@@ -102,6 +103,7 @@ TEST(Integration, CyclicGraphSurvivesTheWire) {
   // And the adapted view dispatches renamed methods on it.
   const auto& adapted = b.peer().delivered().front().adapted;
   EXPECT_EQ(b.call(adapted, "getNodeValue").as_int32(), 1);
+  testing_support::break_cycles({Value(n1), Value(ring)});
 }
 
 TEST(Integration, MixedEncodingsInteroperate) {

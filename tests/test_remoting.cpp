@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "fixtures/sample_types.hpp"
+#include "reflect/introspect.hpp"
+#include "reflect/type_builder.hpp"
 #include "remoting/remoting.hpp"
 #include "remoting/remoting_error.hpp"
 #include "transport/assembly_hub.hpp"
@@ -182,6 +184,20 @@ TEST_F(RemotingTest, RemoteRefsCannotPassByValue) {
   const Value set_args[] = {Value(ref)};
   EXPECT_THROW((void)client_.proxies().invoke(ref, "setAddress", set_args),
                RemotingError);
+}
+
+TEST_F(RemotingTest, ReimportAsksOnlyForTheImportedClosure) {
+  // A local type nobody can fully describe must not make every import of
+  // an unrelated, fully known type ask the host about it.
+  client_.domain().registry().add(reflect::introspect(
+      *reflect::TypeBuilder("stray", "Orphan").field("ghost", "nowhere.Missing").build()));
+  const Value args[] = {Value("Ada")};
+  const std::uint64_t id = server_remoting_.export_object(
+      server_.domain().instantiate("teamA.Person", args));
+  (void)client_remoting_.import_ref("server", id, "teamA.Person");
+  const std::uint64_t before = client_.stats().typeinfo_requests.get();
+  for (int i = 0; i < 5; ++i) (void)client_remoting_.import_ref("server", id, "teamA.Person");
+  EXPECT_EQ(client_.stats().typeinfo_requests.get() - before, 0u);
 }
 
 TEST_F(RemotingTest, ImportUnknownTypeFails) {

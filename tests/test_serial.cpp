@@ -2,6 +2,7 @@
 // XML/SOAP/binary object serializers and the hybrid envelope (Fig. 3).
 #include <gtest/gtest.h>
 
+#include "break_cycles.hpp"
 #include "fixtures/sample_types.hpp"
 #include "reflect/domain.hpp"
 #include "reflect/dyn_object.hpp"
@@ -195,6 +196,7 @@ TEST(SoapSerializer, HandlesCycles) {
   EXPECT_EQ(rb->get("next").as_object().get(), ra.get()) << "cycle must close";
   EXPECT_EQ(ra->get("value").as_int32(), 1);
   EXPECT_EQ(rb->get("value").as_int32(), 2);
+  testing_support::break_cycles({Value(a), back});
 }
 
 TEST(BinarySerializer, HandlesCyclesAndSharing) {
@@ -203,6 +205,7 @@ TEST(BinarySerializer, HandlesCyclesAndSharing) {
   BinarySerializer binary;
   const Value back = binary.deserialize(binary.serialize(Value(a)));
   EXPECT_EQ(back.as_object()->get("self").as_object().get(), back.as_object().get());
+  testing_support::break_cycles({Value(a), back});
 }
 
 TEST(XmlObjectSerializer, RejectsCycles) {
@@ -210,6 +213,7 @@ TEST(XmlObjectSerializer, RejectsCycles) {
   a->set("self", Value(a));
   XmlObjectSerializer xml;
   EXPECT_THROW((void)xml.serialize(Value(a)), SerialError);
+  testing_support::break_cycles({Value(a)});
 }
 
 TEST(XmlObjectSerializer, DuplicatesSharedReferences) {
@@ -326,6 +330,7 @@ TEST(Envelope, CollectTypeNamesIsCycleSafe) {
   auto a = DynObject::make("t.N", util::Guid{});
   a->set("self", Value(a));
   EXPECT_EQ(collect_type_names(Value(a)), (std::vector<std::string>{"t.N"}));
+  testing_support::break_cycles({Value(a)});
 }
 
 class EnvelopeCase : public ::testing::TestWithParam<const char*> {};

@@ -25,12 +25,14 @@
 
 #include "core/resource_governor.hpp"
 #include "protocol_fuzz_common.hpp"
+#include "push_shapes.hpp"
 #include "transport/assembly_hub.hpp"
 #include "transport/async_transport.hpp"
 #include "transport/intro_registry.hpp"
 #include "transport/peer.hpp"
 #include "transport/sim_network.hpp"
 #include "transport/socket_transport.hpp"
+#include "transport/transport_error.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -334,14 +336,20 @@ TEST(SessionLayer, SharedIntroRegistryElidesSecondSenderDescriptions) {
   EXPECT_LT(second_bytes, described_bytes);
 }
 
-TEST(SessionLayer, EvictedSessionResetsAndReplaysTransparently) {
+// Every session push shape settles through the same per-slot path: a
+// Reset replays the sync push, the unbatched async push and the batch slot
+// alike, exactly once.
+class SessionReplay : public ::testing::TestWithParam<testing_support::PushShape> {};
+
+TEST_P(SessionReplay, EvictedSessionResetsAndReplaysTransparently) {
   // carol remembers at most ONE sender session: alice and bob pushing
   // alternately evict each other every time. Every evicted sender sees a
   // Reset ack and must replay once with all intros — the application-level
   // result (delivered == true) never changes.
   SimNetwork net;
   auto hub = std::make_shared<AssemblyHub>();
-  const PeerConfig sender_config{.mode = ProtocolMode::Optimistic, .use_sessions = true};
+  const PeerConfig sender_config = testing_support::with_shape(
+      PeerConfig{.mode = ProtocolMode::Optimistic, .use_sessions = true}, GetParam());
   PeerConfig receiver_config = sender_config;
   receiver_config.session.max_peer_sessions = 1;
   Peer alice("alice", net, hub, sender_config);
@@ -361,11 +369,11 @@ TEST(SessionLayer, EvictedSessionResetsAndReplaysTransparently) {
   const fuzz::ValuePlan values = fixed_values(schema);
 
   for (int round = 0; round < 3; ++round) {
-    const PushAck a =
-        alice.send_object("carol", fuzz::make_object(alice, "sevA", schema, values));
+    const PushAck a = testing_support::push_as(
+        GetParam(), alice, "carol", fuzz::make_object(alice, "sevA", schema, values));
     ASSERT_TRUE(a.delivered) << "alice round " << round << ": " << a.detail;
-    const PushAck b =
-        bob.send_object("carol", fuzz::make_object(bob, "sevB", schema, values));
+    const PushAck b = testing_support::push_as(
+        GetParam(), bob, "carol", fuzz::make_object(bob, "sevB", schema, values));
     ASSERT_TRUE(b.delivered) << "bob round " << round << ": " << b.detail;
     EXPECT_EQ(carol.sessions().inbound_sessions(), 1u);
   }
@@ -378,6 +386,67 @@ TEST(SessionLayer, EvictedSessionResetsAndReplaysTransparently) {
   EXPECT_EQ(alice.stats().session_retries + bob.stats().session_retries, 4u);
   EXPECT_EQ(carol.stats().objects_delivered, 6u);
   EXPECT_EQ(carol.delivered_snapshot().size(), 6u);
+  // Frame kinds: a flushed batching window is a SessionBatch even with one
+  // entry; sync pushes, unbatched async pushes and replays are SessionPush.
+  EXPECT_EQ(carol.stats().session_batches,
+            GetParam() == testing_support::PushShape::Batched ? 6u : 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(PushShapes, SessionReplay,
+                         ::testing::Values(testing_support::PushShape::Sync,
+                                           testing_support::PushShape::Async,
+                                           testing_support::PushShape::Batched),
+                         testing_support::shape_param_name);
+
+TEST(SessionLayer, FailingBatchEntryFailsOnlyItsOwnSlot) {
+  // A window of two first contacts: entry 0's code is published; entry 1's
+  // assembly is loaded by the sender but never published to the hub, so
+  // its code fetch fails. The receiver delivers entry 0, and entry 0's
+  // future must say so; only entry 1's future fails, with what the same
+  // push sent alone fails with.
+  SimNetwork net;
+  auto hub = std::make_shared<AssemblyHub>();
+  PeerConfig config{.mode = ProtocolMode::Optimistic, .use_sessions = true};
+  config.session.max_batch = 2;
+  Peer sender("sender", net, hub, config);
+  Peer receiver("receiver", net, hub, config);
+
+  const fuzz::Schema schema = fixed_schema();
+  util::Rng dummy(1);
+  sender.host_assembly(fuzz::sender_assembly("pa", schema));
+  sender.domain().load_assembly(fuzz::sender_assembly("pb", schema), "net://sender/pb.gen");
+  receiver.host_assembly(
+      fuzz::receiver_assembly("pbr", schema, fuzz::InterestMode::Copy, dummy));
+  receiver.add_interest("pbr.Thing");
+  const fuzz::ValuePlan values = fixed_values(schema);
+
+  auto ok = sender.send_object_async("receiver", fuzz::make_object(sender, "pa", schema, values));
+  auto bad =
+      sender.send_object_async("receiver", fuzz::make_object(sender, "pb", schema, values));
+  const PushAck delivered = ok.get();
+  EXPECT_TRUE(delivered.delivered) << delivered.detail;
+  EXPECT_EQ(delivered.detail, "pbr.Thing");
+  std::string batched_error;
+  try {
+    (void)bad.get();
+    ADD_FAILURE() << "the entry whose code is unavailable was acknowledged";
+  } catch (const transport::ProtocolError& e) {
+    batched_error = e.what();
+  }
+  EXPECT_NE(batched_error.find("assembly 'pb.gen' is not available from 'sender'"),
+            std::string::npos)
+      << batched_error;
+  EXPECT_EQ(receiver.stats().session_batches, 1u);
+  EXPECT_EQ(receiver.delivered_snapshot().size(), 1u);
+
+  // Sent alone, the failing push throws the same error.
+  try {
+    (void)sender.send_object("receiver", fuzz::make_object(sender, "pb", schema, values));
+    ADD_FAILURE() << "the unbatched push was acknowledged";
+  } catch (const transport::ProtocolError& e) {
+    EXPECT_EQ(std::string(e.what()), batched_error);
+  }
+  EXPECT_EQ(receiver.delivered_snapshot().size(), 1u);
 }
 
 TEST(SessionLayer, QuotaRefusalLeavesSessionConsistent) {

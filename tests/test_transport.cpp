@@ -10,9 +10,11 @@
 #include <future>
 #include <semaphore>
 #include <thread>
+#include <tuple>
 
 #include "core/interop.hpp"
 #include "fixtures/sample_types.hpp"
+#include "push_shapes.hpp"
 #include "transport/assembly_hub.hpp"
 #include "transport/async_transport.hpp"
 #include "transport/peer.hpp"
@@ -301,14 +303,20 @@ TEST_F(ProtocolTest, DeliveryHandlerFires) {
 
 // --- matcher modes (Section 2 baselines end-to-end) ---------------------------
 
-class MatcherModeTest : public ::testing::TestWithParam<MatcherKind> {};
+// Every push shape runs the same decision core: the cold ObjectPush, the
+// session push and the batched window must gate identically.
+using testing_support::PushShape;
+
+class MatcherModeTest
+    : public ::testing::TestWithParam<std::tuple<MatcherKind, PushShape>> {};
 
 TEST_P(MatcherModeTest, GatesDeliveryAccordingToTheRelation) {
+  const auto [matcher, shape] = GetParam();
   SimNetwork net;
   auto hub = std::make_shared<AssemblyHub>();
-  PeerConfig receiver_config;
-  receiver_config.matcher = GetParam();
-  Peer alice("alice", net, hub);
+  PeerConfig receiver_config = testing_support::with_shape({}, shape);
+  receiver_config.matcher = matcher;
+  Peer alice("alice", net, hub, testing_support::with_shape({}, shape));
   Peer bob("bob", net, hub, receiver_config);
   alice.host_assembly(fixtures::team_a_people());
   bob.host_assembly(fixtures::team_a_people());  // bob also knows teamA
@@ -318,9 +326,9 @@ TEST_P(MatcherModeTest, GatesDeliveryAccordingToTheRelation) {
 
   const Value args[] = {Value("Ada")};
   auto person = alice.domain().instantiate("teamA.Person", args);
-  const PushAck ack = alice.send_object("bob", person);
+  const PushAck ack = testing_support::push_as(shape, alice, "bob", person);
 
-  switch (GetParam()) {
+  switch (matcher) {
     case MatcherKind::ImplicitStructural:
       // First interest (teamB.Person) already matches implicitly.
       EXPECT_TRUE(ack.delivered);
@@ -336,28 +344,45 @@ TEST_P(MatcherModeTest, GatesDeliveryAccordingToTheRelation) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllMatchers, MatcherModeTest,
-                         ::testing::Values(MatcherKind::ImplicitStructural,
-                                           MatcherKind::Exact, MatcherKind::Nominal,
-                                           MatcherKind::TaggedStructural));
+std::string matcher_mode_name(const ::testing::TestParamInfo<MatcherModeTest::ParamType>& info) {
+  static constexpr const char* kMatchers[] = {"ImplicitStructural", "Exact", "Nominal",
+                                              "TaggedStructural"};
+  return std::string(kMatchers[static_cast<int>(std::get<0>(info.param))]) +
+         testing_support::shape_name(std::get<1>(info.param));
+}
 
-TEST(MatcherModeNegative, BaselinesRejectWhatImplicitAccepts) {
+INSTANTIATE_TEST_SUITE_P(
+    AllMatchers, MatcherModeTest,
+    ::testing::Combine(::testing::Values(MatcherKind::ImplicitStructural, MatcherKind::Exact,
+                                         MatcherKind::Nominal, MatcherKind::TaggedStructural),
+                       ::testing::Values(PushShape::Cold, PushShape::Sync,
+                                         PushShape::Batched)),
+    matcher_mode_name);
+
+class MatcherModeNegative : public ::testing::TestWithParam<PushShape> {};
+
+TEST_P(MatcherModeNegative, BaselinesRejectWhatImplicitAccepts) {
   SimNetwork net;
   auto hub = std::make_shared<AssemblyHub>();
-  PeerConfig exact_config;
+  PeerConfig exact_config = testing_support::with_shape({}, GetParam());
   exact_config.matcher = MatcherKind::Exact;
-  Peer alice("alice", net, hub);
+  Peer alice("alice", net, hub, testing_support::with_shape({}, GetParam()));
   Peer bob("bob", net, hub, exact_config);
   alice.host_assembly(fixtures::team_a_people());
   bob.host_assembly(fixtures::team_b_people());
   bob.add_interest("teamB.Person");  // only the foreign-shaped interest
 
   const Value args[] = {Value("Ada")};
-  const PushAck ack =
-      alice.send_object("bob", alice.domain().instantiate("teamA.Person", args));
+  const PushAck ack = testing_support::push_as(
+      GetParam(), alice, "bob", alice.domain().instantiate("teamA.Person", args));
   EXPECT_FALSE(ack.delivered);
   EXPECT_EQ(bob.stats().objects_rejected, 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(PushShapes, MatcherModeNegative,
+                         ::testing::Values(PushShape::Cold, PushShape::Sync,
+                                           PushShape::Batched),
+                         testing_support::shape_param_name);
 
 // --- eager baseline ---------------------------------------------------------
 

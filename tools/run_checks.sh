@@ -102,13 +102,15 @@ stage 90 "megasim scale smoke (10^4 peers, deterministic)" scale_smoke
 # The session equivalence gate: the session layer must produce the same
 # verdict/delivery stream as the cold protocol — in Release, where timing
 # differs most from the sanitizer builds above. Runs the differential
-# session suite plus every session-tagged equivalence sweep (fixed-seed
-# fuzz, sockets-vs-simulator, megasim digests).
+# session suite plus every session-tagged equivalence sweep (the matcher
+# modes over every push shape, fixed-seed fuzz, sockets-vs-simulator,
+# megasim digests).
 session_equivalence() {
   cmake --preset release > /dev/null && \
     cmake --build --preset release "${BUILD_JOBS[@]}" \
-      --target test_session test_protocol_fuzz test_socket_transport test_sim && \
+      --target test_session test_transport test_protocol_fuzz test_socket_transport test_sim && \
     build-bench/test_session && \
+    build-bench/test_transport --gtest_filter='*MatcherMode*' && \
     build-bench/test_protocol_fuzz --gtest_filter='ProtocolFuzz.SessionModeAgreesWithColdProtocol:ProtocolFuzz.BatchedSessionAgreesWithColdProtocol' && \
     build-bench/test_socket_transport --gtest_filter='SocketTransportEquivalence.Session*' && \
     build-bench/test_sim --gtest_filter='ScenarioEquivalence.SessionModeAgreesWhileWireCostCollapses:ScenarioEquivalence.BatchedSessionsReproduceTheVerdictStream:ScenarioEquivalence.SharedIntrosBeatColdOnAColdHeavyStorm'
