@@ -10,14 +10,9 @@ namespace pti::transport {
 
 namespace {
 
-/// Endpoints whose handler is executing on THIS thread, innermost last.
-/// Lets detach() recognize the reentrant case (handler detaching itself)
-/// where waiting for executing == 0 would deadlock.
-thread_local std::vector<const void*> tl_executing_here;
-
-[[nodiscard]] bool executing_here(const void* endpoint) noexcept {
-  return std::find(tl_executing_here.begin(), tl_executing_here.end(), endpoint) !=
-         tl_executing_here.end();
+[[nodiscard]] std::exception_ptr detached_error(std::string_view name) {
+  return std::make_exception_ptr(
+      NetworkError("endpoint '" + std::string(name) + "' detached before delivery"));
 }
 
 }  // namespace
@@ -35,80 +30,39 @@ AsyncTransport::AsyncTransport(AsyncTransportConfig config)
 }
 
 AsyncTransport::~AsyncTransport() {
-  std::deque<Pending> orphaned;
+  std::deque<PendingSend> orphaned;
   {
     std::unique_lock lock(mutex_);
     shutdown_ = true;
-    for (auto& [name, endpoint] : endpoints_) {
-      total_queued_ -= endpoint->inbox.size();
-      for (auto& pending : endpoint->inbox) orphaned.push_back(std::move(pending));
-      endpoint->inbox.clear();
+    for (auto& [endpoint, inbox] : inboxes_) {
+      for (auto& pending : inbox) orphaned.push_back(std::move(pending));
     }
-    endpoints_.clear();
+    inboxes_.clear();
   }
   work_cv_.notify_all();
   state_cv_.notify_all();
   const auto error = std::make_exception_ptr(
       NetworkError("transport destroyed before the message was delivered"));
-  for (auto& pending : orphaned) complete(pending, Message{}, error);
+  for (auto& pending : orphaned) pending.complete(Message{}, error);
   for (auto& worker : workers_) worker.join();
 }
 
-void AsyncTransport::attach(std::string_view name, Handler handler) {
-  if (!handler) throw TransportError("cannot attach a null handler");
-  if (name.empty()) throw TransportError("endpoint name cannot be empty");
-  auto endpoint = std::make_shared<Endpoint>();
-  endpoint->name = std::string(name);
-  endpoint->handler = std::make_shared<Handler>(std::move(handler));
-  std::unique_lock lock(mutex_);
-  const auto [it, inserted] = endpoints_.emplace(endpoint->name, std::move(endpoint));
-  if (!inserted) {
-    throw TransportError("endpoint '" + std::string(name) +
-                         "' is already attached (detach it first)");
-  }
-}
-
 void AsyncTransport::detach(std::string_view name) {
-  std::shared_ptr<Endpoint> endpoint;
-  std::deque<Pending> orphaned;
+  const std::shared_ptr<Endpoint> endpoint = registry_.unlink(name);
+  if (!endpoint) return;
+  std::deque<PendingSend> orphaned;
   {
     std::unique_lock lock(mutex_);
-    const auto it = endpoints_.find(name);
-    if (it == endpoints_.end()) return;
-    endpoint = it->second;
-    total_queued_ -= endpoint->inbox.size();
-    orphaned.swap(endpoint->inbox);
-    endpoints_.erase(it);
-    state_cv_.notify_all();
-    // Quiescence guarantee: once detach returns, no handler execution is in
-    // flight, so the caller may destroy the handler's owner. The reentrant
-    // case (a handler detaching its own endpoint) cannot wait for itself;
-    // it returns immediately — no *new* delivery begins either way.
-    if (!executing_here(endpoint.get())) {
-      state_cv_.wait(lock, [&] { return endpoint->executing == 0; });
+    if (const auto inbox = inboxes_.find(endpoint.get()); inbox != inboxes_.end()) {
+      orphaned.swap(inbox->second);
+      inboxes_.erase(inbox);
+      total_queued_ -= orphaned.size();
     }
   }
-  const auto error = std::make_exception_ptr(
-      NetworkError("endpoint '" + std::string(name) + "' detached before delivery"));
-  for (auto& pending : orphaned) complete(pending, Message{}, error);
-}
-
-bool AsyncTransport::is_attached(std::string_view name) const noexcept {
-  std::unique_lock lock(mutex_);
-  return endpoints_.find(name) != endpoints_.end();
-}
-
-void AsyncTransport::set_default_link(const LinkConfig& config) noexcept {
-  link_model_.set_default_link(config);
-}
-
-void AsyncTransport::set_link(std::string_view from, std::string_view to,
-                              const LinkConfig& config) {
-  link_model_.set_link(from, to, config);
-}
-
-bool AsyncTransport::charge(const Message& message) {
-  return link_model_.charge(message, stats_, clock_);
+  state_cv_.notify_all();  // blocked senders re-check and fail
+  registry_.quiesce(*endpoint);
+  const auto error = detached_error(name);
+  for (auto& pending : orphaned) pending.complete(Message{}, error);
 }
 
 Message AsyncTransport::exchange(const Handler& handler, const Message& request) {
@@ -116,92 +70,27 @@ Message AsyncTransport::exchange(const Handler& handler, const Message& request)
   // from the lock-free stores stays valid even while a ResourceGovernor
   // sweeps (see util/epoch.hpp).
   const util::EpochManager::Pin pin(util::EpochManager::global());
+  // Admission before any charge or handler work. The guard spans the
+  // handler execution, so max_inflight counts exchanges actually running,
+  // whichever path (sync send or worker) carried them here.
   PeerQuotaTable::InflightGuard inflight;
-  if (quotas_.enabled()) {
-    // Admission before any charge or handler work. The guard spans the
-    // handler execution, so max_inflight counts exchanges actually
-    // running, whichever path (sync send or worker) carried them here.
-    quotas_.admit_frame(request.sender, request.wire_size(), clock_.now_ns());
-    inflight = quotas_.acquire_inflight(request.sender);
-    quotas_.charge_new_names(request.sender, count_new_names(request));
-  }
-  if (!charge(request)) {
-    throw NetworkError("message " + std::string(request.kind_name()) + " from '" +
-                       request.sender + "' to '" + request.recipient + "' was dropped");
-  }
+  if (quotas_.enabled()) inflight = quotas_.admit(request, clock_.now_ns());
+  if (!charge(request)) throw NetworkError(drop_reason(request, Leg::Request));
   Message response = handler(request);
   address_response(request, response);
-  if (!charge(response)) {
-    throw NetworkError("response " + std::string(response.kind_name()) + " from '" +
-                       response.sender + "' was dropped");
-  }
+  if (!charge(response)) throw NetworkError(drop_reason(response, Leg::Response));
   return response;
 }
 
 Message AsyncTransport::send(const Message& request) {
-  std::shared_ptr<Endpoint> endpoint;
-  std::shared_ptr<Handler> handler;
-  {
-    std::unique_lock lock(mutex_);
-    const auto it = endpoints_.find(request.recipient);
-    if (it == endpoints_.end()) {
-      throw NetworkError("no peer attached as '" + request.recipient + "'");
-    }
-    endpoint = it->second;
-    handler = endpoint->handler;
-    ++endpoint->executing;
-    ++total_executing_;
-  }
-  tl_executing_here.push_back(endpoint.get());
-  struct Release {
-    AsyncTransport& transport;
-    Endpoint& endpoint;
-    ~Release() {
-      tl_executing_here.pop_back();
-      {
-        std::unique_lock lock(transport.mutex_);
-        --endpoint.executing;
-        --transport.total_executing_;
-      }
-      transport.state_cv_.notify_all();
-    }
-  } release{*this, *endpoint};
-  return exchange(*handler, request);
-}
-
-void AsyncTransport::complete(Pending& pending, Message response,
-                              std::exception_ptr error) {
-  // Completion runs on transport threads; a throwing callback must not
-  // take a worker (or the destructor) down with it.
-  try {
-    if (pending.callback) {
-      pending.callback(std::move(response), error);
-    } else if (error) {
-      pending.promise.set_exception(error);
-    } else {
-      pending.promise.set_value(std::move(response));
-    }
-  } catch (...) {
-  }
-}
-
-std::future<Message> AsyncTransport::send_async(Message request) {
-  Pending pending;
-  pending.request = std::move(request);
-  std::future<Message> future = pending.promise.get_future();
-  enqueue(std::move(pending));
-  return future;
+  const EndpointRegistry::Execution execution = registry_.begin(request.recipient);
+  if (!execution) throw NetworkError("no peer attached as '" + request.recipient + "'");
+  return exchange(execution.handler(), request);
 }
 
 void AsyncTransport::send_async(Message request, SendCallback on_complete) {
   if (!on_complete) throw TransportError("send_async requires a completion callback");
-  Pending pending;
-  pending.request = std::move(request);
-  pending.callback = std::move(on_complete);
-  enqueue(std::move(pending));
-}
-
-void AsyncTransport::enqueue(Pending pending) {
+  PendingSend pending{std::move(request), std::move(on_complete)};
   std::exception_ptr failure;
   {
     std::unique_lock lock(mutex_);
@@ -210,27 +99,29 @@ void AsyncTransport::enqueue(Pending pending) {
         failure = std::make_exception_ptr(NetworkError("transport is shutting down"));
         break;
       }
-      const auto it = endpoints_.find(pending.request.recipient);
-      if (it == endpoints_.end()) {
+      // Looked up under mutex_: a detach that unregisters the endpoint
+      // after this point flushes its inbox only once this push is done.
+      std::shared_ptr<Endpoint> endpoint = registry_.find(pending.request.recipient);
+      if (!endpoint) {
         failure = std::make_exception_ptr(
             NetworkError("no peer attached as '" + pending.request.recipient + "'"));
         break;
       }
-      const std::shared_ptr<Endpoint>& endpoint = it->second;
-      if (endpoint->inbox.size() < config_.max_inbox) {
-        endpoint->inbox.push_back(std::move(pending));
+      std::deque<PendingSend>& inbox = inboxes_[endpoint.get()];
+      if (inbox.size() < config_.max_inbox) {
+        inbox.push_back(std::move(pending));
         ++total_queued_;
-        ready_.push_back(endpoint);
+        ready_.push_back(std::move(endpoint));
         work_cv_.notify_one();
         return;
       }
-      if (config_.overflow == AsyncTransportConfig::Overflow::Reject) {
+      if (config_.overflow == Overflow::Reject) {
         failure = std::make_exception_ptr(
             TransportError("backpressure: inbox of '" + pending.request.recipient +
                            "' is full (" + std::to_string(config_.max_inbox) + ")"));
         break;
       }
-      if (!tl_executing_here.empty()) {
+      if (EndpointRegistry::executing_on_this_thread()) {
         // Block policy, but the caller IS a handler execution (a worker or
         // a sync-send frame): waiting for inbox space that only workers
         // free would deadlock the pool. Fail fast instead — this is what
@@ -245,7 +136,7 @@ void AsyncTransport::enqueue(Pending pending) {
       state_cv_.wait(lock);
     }
   }
-  complete(pending, Message{}, failure);
+  pending.complete(Message{}, failure);
 }
 
 void AsyncTransport::worker_loop() {
@@ -255,44 +146,44 @@ void AsyncTransport::worker_loop() {
     if (shutdown_) return;
     const std::shared_ptr<Endpoint> endpoint = std::move(ready_.front());
     ready_.pop_front();
-    if (endpoint->inbox.empty()) continue;  // flushed by a detach
-    Pending pending = std::move(endpoint->inbox.front());
-    endpoint->inbox.pop_front();
+    const auto inbox = inboxes_.find(endpoint.get());
+    if (inbox == inboxes_.end()) continue;  // flushed by a detach
+    PendingSend pending = std::move(inbox->second.front());
+    inbox->second.pop_front();
+    if (inbox->second.empty()) inboxes_.erase(inbox);
     --total_queued_;
-    const std::shared_ptr<Handler> handler = endpoint->handler;
-    ++endpoint->executing;
-    ++total_executing_;
-    lock.unlock();
-    state_cv_.notify_all();  // inbox space freed; blocked senders may proceed
-
-    tl_executing_here.push_back(endpoint.get());
-    Message response;
-    std::exception_ptr error;
-    try {
-      response = exchange(*handler, pending.request);
-    } catch (...) {
-      error = std::current_exception();
+    {
+      // Begun before mutex_ is released, so drain() never finds this
+      // request neither queued nor executing. The completion runs inside
+      // the execution: callbacks are handler context too.
+      const EndpointRegistry::Execution execution =
+          registry_.begin(pending.request.recipient, endpoint.get());
+      lock.unlock();
+      state_cv_.notify_all();  // inbox space freed; blocked senders may proceed
+      if (!execution) {
+        pending.complete(Message{}, detached_error(pending.request.recipient));
+      } else {
+        Message response;
+        std::exception_ptr error;
+        try {
+          response = exchange(execution.handler(), pending.request);
+        } catch (...) {
+          error = std::current_exception();
+        }
+        pending.complete(std::move(response), error);
+      }
     }
-    complete(pending, std::move(response), error);
-    tl_executing_here.pop_back();
-
     lock.lock();
-    --endpoint->executing;
-    --total_executing_;
-    if (endpoint->executing == 0 || (total_executing_ == 0 && total_queued_ == 0)) {
-      state_cv_.notify_all();  // detach()/drain() waiters
-    }
   }
 }
 
 void AsyncTransport::drain() {
-  std::unique_lock lock(mutex_);
-  state_cv_.wait(lock, [&] { return total_queued_ == 0 && total_executing_ == 0; });
+  registry_.drain(mutex_, state_cv_, [&] { return total_queued_ == 0; });
 }
 
 std::size_t AsyncTransport::pending() const {
   std::unique_lock lock(mutex_);
-  return total_queued_ + total_executing_;
+  return total_queued_ + registry_.executing();
 }
 
 }  // namespace pti::transport

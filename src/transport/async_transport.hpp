@@ -28,9 +28,9 @@
 //     executions of that endpoint's handler have finished — so returning
 //     from detach() makes destroying the handler's owner (a Peer) safe —
 //     unless called from inside that very handler, in which case it only
-//     marks the endpoint (no new deliveries) and returns;
-//   * queued-but-undelivered requests of a detached endpoint fail their
-//     futures/callbacks with NetworkError;
+//     marks the endpoint (no new deliveries) and returns (EndpointRegistry);
+//   * a request queued for a detached endpoint fails its future/callback
+//     with NetworkError, never reaching a later endpoint of the same name;
 //   * destroy the transport only after detaching (or destroying) the
 //     peers attached to it; the destructor fails whatever is still queued
 //     and joins the workers.
@@ -44,24 +44,21 @@
 
 #include <cstdint>
 #include <deque>
-#include <future>
-#include <map>
 #include <memory>
-#include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
-#include <atomic>
 #include <condition_variable>
 #include <mutex>
 
+#include "transport/endpoint_registry.hpp"
 #include "transport/link_cost_model.hpp"
 #include "transport/message.hpp"
 #include "transport/peer_quota.hpp"
 #include "transport/transport.hpp"
 #include "util/sim_clock.hpp"
-#include "util/string_util.hpp"
 
 namespace pti::transport {
 
@@ -70,10 +67,7 @@ struct AsyncTransportConfig {
   std::size_t workers = 2;
   /// Per-endpoint cap on queued (not yet executing) requests.
   std::size_t max_inbox = 1024;
-  enum class Overflow : std::uint8_t {
-    Block,   ///< send_async waits for inbox space (flow control)
-    Reject,  ///< send_async fails the future/callback with TransportError
-  };
+  using Overflow = transport::Overflow;
   Overflow overflow = Overflow::Block;
   /// Seed of the shared RNG stream behind per-link drop_probability.
   std::uint64_t rng_seed = 42;
@@ -86,9 +80,13 @@ class AsyncTransport final : public Transport {
   AsyncTransport(const AsyncTransport&) = delete;
   AsyncTransport& operator=(const AsyncTransport&) = delete;
 
-  void attach(std::string_view name, Handler handler) override;
+  void attach(std::string_view name, Handler handler) override {
+    registry_.attach(name, std::move(handler));
+  }
   void detach(std::string_view name) override;
-  [[nodiscard]] bool is_attached(std::string_view name) const noexcept override;
+  [[nodiscard]] bool is_attached(std::string_view name) const noexcept override {
+    return registry_.is_attached(name);
+  }
 
   Message send(const Message& request) override;
 
@@ -96,12 +94,16 @@ class AsyncTransport final : public Transport {
   /// performs the exchange. All failures — unknown recipient, drop,
   /// rejected backpressure, detach before delivery — surface through the
   /// future/callback, never as a throw from send_async itself.
-  [[nodiscard]] std::future<Message> send_async(Message request) override;
+  using Transport::send_async;
   void send_async(Message request, SendCallback on_complete) override;
 
-  void set_default_link(const LinkConfig& config) noexcept override;
+  void set_default_link(const LinkConfig& config) noexcept override {
+    link_model_.set_default_link(config);
+  }
   void set_link(std::string_view from, std::string_view to,
-                const LinkConfig& config) override;
+                const LinkConfig& config) override {
+    link_model_.set_link(from, to, config);
+  }
 
   /// Hostile-peer governance: enforced in the exchange core, so both the
   /// synchronous path and the worker-drained inboxes reject identically.
@@ -128,41 +130,28 @@ class AsyncTransport final : public Transport {
   [[nodiscard]] std::size_t pending() const;
 
  private:
-  struct Pending {
-    Message request;
-    std::promise<Message> promise;
-    SendCallback callback;  ///< used instead of the promise when non-null
-  };
-
-  // Detachment is encoded by erasure from endpoints_ (senders re-find by
-  // name; workers check the inbox), so the struct carries no flag for it.
-  struct Endpoint {
-    std::string name;
-    std::shared_ptr<Handler> handler;
-    std::deque<Pending> inbox;
-    std::size_t executing = 0;  ///< in-flight handler executions
-  };
+  using Endpoint = EndpointRegistry::Endpoint;
 
   /// Charges one traversal (stats + virtual clock); false when dropped.
-  bool charge(const Message& message);
+  bool charge(const Message& message) { return link_model_.charge(message, stats_, clock_); }
 
   /// The request/response exchange core shared by send() and the workers.
-  /// The handler is kept alive by the caller's shared_ptr copy.
   Message exchange(const Handler& handler, const Message& request);
 
-  static void complete(Pending& pending, Message response, std::exception_ptr error);
-  void enqueue(Pending pending);
   void worker_loop();
 
   AsyncTransportConfig config_;
+  EndpointRegistry registry_;
 
-  mutable std::mutex mutex_;  ///< guards endpoints_/ready_/counters/shutdown_
+  mutable std::mutex mutex_;  ///< guards inboxes_/ready_/total_queued_/shutdown_
   std::condition_variable work_cv_;   ///< wakes workers
-  std::condition_variable state_cv_;  ///< wakes backpressure/detach/drain waiters
-  std::map<std::string, std::shared_ptr<Endpoint>, util::ICaseLess> endpoints_;
-  std::deque<std::shared_ptr<Endpoint>> ready_;  ///< endpoints with queued work
+  std::condition_variable state_cv_;  ///< wakes backpressure/drain waiters
+  /// Queued requests per endpoint incarnation, present only while
+  /// non-empty; each one's ready_ entry keeps its incarnation (the key)
+  /// alive.
+  std::unordered_map<const Endpoint*, std::deque<PendingSend>> inboxes_;
+  std::deque<std::shared_ptr<Endpoint>> ready_;  ///< one entry per queued request
   std::size_t total_queued_ = 0;
-  std::size_t total_executing_ = 0;
   bool shutdown_ = false;
 
   LinkCostModel link_model_;

@@ -101,6 +101,14 @@ PeerQuotaTable::InflightGuard PeerQuotaTable::acquire_inflight(std::string_view 
   return InflightGuard{&state.inflight};
 }
 
+PeerQuotaTable::InflightGuard PeerQuotaTable::admit(const Message& request,
+                                                    std::uint64_t now_ns) {
+  admit_frame(request.sender, request.wire_size(), now_ns);
+  InflightGuard inflight = acquire_inflight(request.sender);
+  charge_new_names(request.sender, count_new_names(request));
+  return inflight;
+}
+
 void PeerQuotaTable::charge_new_names(std::string_view peer, std::size_t count) {
   if (count == 0) return;
   State& state = state_of(peer);

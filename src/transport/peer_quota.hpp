@@ -7,6 +7,7 @@
 // A table maps peer names (case-insensitive, like every endpoint map) to
 // budget state for the four quota dimensions of PeerQuotaConfig:
 //
+//   admit()              the transports' one admission step: all three.
 //   admit_frame()        frame-size cap + bytes/sec token bucket, charged
 //                        on the message's modelled wire size against the
 //                        transport's virtual clock, BEFORE the handler
@@ -120,6 +121,10 @@ class PeerQuotaTable {
   /// Claims one concurrent-exchange slot for `peer`, throwing
   /// pti::ResourceExhaustedError when max_inflight are already executing.
   [[nodiscard]] InflightGuard acquire_inflight(std::string_view peer);
+
+  /// Admits `request` at `now_ns`: admit_frame() on its wire size, an
+  /// in-flight slot (held by the returned guard), then charge_new_names().
+  [[nodiscard]] InflightGuard admit(const Message& request, std::uint64_t now_ns);
 
   /// Charges `count` distinct new names against `peer`'s cumulative
   /// max_new_names budget; throws pti::ResourceExhaustedError when the

@@ -111,25 +111,15 @@ Message SimNetwork::send(const Message& request) {
   // from the lock-free stores stays valid even while a ResourceGovernor
   // sweeps (see util/epoch.hpp).
   const util::EpochManager::Pin pin(util::EpochManager::global());
+  // Admission before any charge or handler work: an over-budget sender
+  // costs the admission check, nothing more. Violations propagate as
+  // pti::ResourceExhaustedError straight to the (in-process) caller.
   PeerQuotaTable::InflightGuard inflight;
-  if (quotas_.enabled()) {
-    // Admission before any charge or handler work: an over-budget sender
-    // costs the admission check, nothing more. Violations propagate as
-    // pti::ResourceExhaustedError straight to the (in-process) caller.
-    quotas_.admit_frame(request.sender, request.wire_size(), clock_.now_ns());
-    inflight = quotas_.acquire_inflight(request.sender);
-    quotas_.charge_new_names(request.sender, count_new_names(request));
-  }
-  if (!charge(request)) {
-    throw NetworkError("message " + std::string(request.kind_name()) + " from '" +
-                       request.sender + "' to '" + request.recipient + "' was dropped");
-  }
+  if (quotas_.enabled()) inflight = quotas_.admit(request, clock_.now_ns());
+  if (!charge(request)) throw NetworkError(drop_reason(request, Leg::Request));
   Message response = (*handler)(request);
   address_response(request, response);
-  if (!charge(response)) {
-    throw NetworkError("response " + std::string(response.kind_name()) + " from '" +
-                       response.sender + "' was dropped");
-  }
+  if (!charge(response)) throw NetworkError(drop_reason(response, Leg::Response));
   return response;
 }
 

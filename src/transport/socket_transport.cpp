@@ -22,20 +22,10 @@ namespace pti::transport {
 
 namespace {
 
-/// Endpoints whose handler is executing on THIS thread, innermost last —
-/// lets detach() recognize the reentrant case (handler detaching itself)
-/// where waiting for executing == 0 would deadlock.
-thread_local std::vector<const void*> tl_executing_here;
-
 /// True on this transport's own threads (reader/outbound workers). A
 /// Block-policy send_async from one of them must fail fast on a full
 /// queue instead of parking a thread that the queue needs to drain.
 thread_local bool tl_transport_thread = false;
-
-[[nodiscard]] bool executing_here(const void* endpoint) noexcept {
-  return std::find(tl_executing_here.begin(), tl_executing_here.end(), endpoint) !=
-         tl_executing_here.end();
-}
 
 /// Fault-frame reason prefixes: the responding side classifies the failure
 /// so the requesting side rethrows the right exception type.
@@ -225,14 +215,14 @@ SocketTransport::~SocketTransport() {
   }
   outbound_cv_.notify_all();
   for (auto& worker : outbound_workers_) worker.join();
-  std::deque<OutboundRequest> orphaned;
+  std::deque<PendingSend> orphaned;
   {
     std::unique_lock lock(outbound_mutex_);
     orphaned.swap(outbound_);
   }
   const auto error = std::make_exception_ptr(
       NetworkError("transport destroyed before the message was delivered"));
-  for (auto& outbound : orphaned) complete(outbound, Message{}, error);
+  for (auto& outbound : orphaned) outbound.complete(Message{}, error);
 
   // 2. Stop accepting: shutdown() wakes the blocked accept(); the fd is
   //    closed only after the join so the accept thread can never call
@@ -273,56 +263,8 @@ void SocketTransport::remove_route(std::string_view peer) {
   if (it != routes_.end()) routes_.erase(it);
 }
 
-void SocketTransport::attach(std::string_view name, Handler handler) {
-  if (!handler) throw TransportError("cannot attach a null handler");
-  if (name.empty()) {
-    // The empty name is reserved: transport faults travel as *unaddressed*
-    // ErrorReply frames, and an endpoint named "" could mint addressed
-    // responses that collide with that shape (see is_fault).
-    throw TransportError("endpoint name cannot be empty");
-  }
-  auto endpoint = std::make_shared<Endpoint>();
-  endpoint->name = std::string(name);
-  endpoint->handler = std::make_shared<Handler>(std::move(handler));
-  std::unique_lock lock(endpoints_mutex_);
-  const auto [it, inserted] = endpoints_.emplace(endpoint->name, std::move(endpoint));
-  if (!inserted) {
-    throw TransportError("endpoint '" + std::string(name) +
-                         "' is already attached (detach it first)");
-  }
-}
-
 void SocketTransport::detach(std::string_view name) {
-  std::unique_lock lock(endpoints_mutex_);
-  const auto it = endpoints_.find(name);
-  if (it == endpoints_.end()) return;
-  const std::shared_ptr<Endpoint> endpoint = it->second;
-  endpoints_.erase(it);
-  // Quiescence guarantee: once detach returns, no handler execution is in
-  // flight, so the caller may destroy the handler's owner. The reentrant
-  // case (a handler detaching its own endpoint) cannot wait for itself;
-  // no *new* delivery begins either way.
-  if (!executing_here(endpoint.get())) {
-    endpoints_cv_.wait(lock, [&] { return endpoint->executing == 0; });
-  }
-}
-
-bool SocketTransport::is_attached(std::string_view name) const noexcept {
-  std::unique_lock lock(endpoints_mutex_);
-  return endpoints_.find(name) != endpoints_.end();
-}
-
-void SocketTransport::set_default_link(const LinkConfig& config) noexcept {
-  link_model_.set_default_link(config);
-}
-
-void SocketTransport::set_link(std::string_view from, std::string_view to,
-                               const LinkConfig& config) {
-  link_model_.set_link(from, to, config);
-}
-
-bool SocketTransport::charge(const Message& message) {
-  return link_model_.charge(message, stats_, clock_);
+  if (const auto endpoint = registry_.unlink(name)) registry_.quiesce(*endpoint);
 }
 
 std::uint16_t SocketTransport::resolve_port(const std::string& recipient) const {
@@ -331,10 +273,7 @@ std::uint16_t SocketTransport::resolve_port(const std::string& recipient) const 
     const auto it = routes_.find(recipient);
     if (it != routes_.end()) return it->second;
   }
-  {
-    std::unique_lock lock(endpoints_mutex_);
-    if (endpoints_.find(recipient) != endpoints_.end()) return port_;
-  }
+  if (registry_.is_attached(recipient)) return port_;
   throw NetworkError("no peer attached as '" + recipient + "'");
 }
 
@@ -516,10 +455,7 @@ Message SocketTransport::send(const Message& request) {
   // concurrently (see util/epoch.hpp).
   const util::EpochManager::Pin pin(util::EpochManager::global());
   const std::uint16_t dest_port = resolve_port(request.recipient);
-  if (!charge(request)) {
-    throw NetworkError("message " + std::string(request.kind_name()) + " from '" +
-                       request.sender + "' to '" + request.recipient + "' was dropped");
-  }
+  if (!charge(request)) throw NetworkError(drop_reason(request, Leg::Request));
   return exchange_over_wire(request, dest_port);
 }
 
@@ -535,59 +471,39 @@ std::vector<std::uint8_t> SocketTransport::serve_request(Message request) {
   PeerQuotaTable::InflightGuard inflight;
   if (quotas_.enabled()) {
     try {
-      quotas_.admit_frame(request.sender, request.wire_size(), clock_.now_ns());
-      inflight = quotas_.acquire_inflight(request.sender);
-      quotas_.charge_new_names(request.sender, count_new_names(request));
+      inflight = quotas_.admit(request, clock_.now_ns());
     } catch (const pti::ResourceExhaustedError& e) {
       return encode_fault(codec_, kResourceFault, e.what());
     }
   }
-  std::shared_ptr<Endpoint> endpoint;
-  std::shared_ptr<Handler> handler;
+  Message response;
+  std::string handler_fault;
   {
-    std::unique_lock lock(endpoints_mutex_);
-    const auto it = endpoints_.find(request.recipient);
-    if (it == endpoints_.end()) {
+    const EndpointRegistry::Execution execution = registry_.begin(request.recipient);
+    if (!execution) {
       return encode_fault(codec_, kNetworkFault,
                           "no peer attached as '" + request.recipient + "'");
     }
-    endpoint = it->second;
-    handler = endpoint->handler;
-    ++endpoint->executing;
-    ++total_executing_;
+    try {
+      response = execution.handler()(request);
+      address_response(request, response);
+    } catch (const std::exception& e) {
+      handler_fault = "handler for '" + request.recipient + "' failed: " + e.what();
+    } catch (...) {
+      handler_fault = "handler for '" + request.recipient + "' failed";
+    }
   }
-
-  tl_executing_here.push_back(endpoint.get());
-  Message response;
-  std::string handler_fault;
-  try {
-    response = (*handler)(request);
-    address_response(request, response);
-  } catch (const std::exception& e) {
-    handler_fault = "handler for '" + request.recipient + "' failed: " + e.what();
-  } catch (...) {
-    handler_fault = "handler for '" + request.recipient + "' failed";
-  }
-  tl_executing_here.pop_back();
-  {
-    std::unique_lock lock(endpoints_mutex_);
-    --endpoint->executing;
-    --total_executing_;
-  }
-  endpoints_cv_.notify_all();
 
   if (!handler_fault.empty()) {
     return encode_fault(codec_, kTransportFault, handler_fault);
   }
   if (!charge(response)) {
-    // The modelled response drop answers with an unaddressed fault (same
-    // wording as SimNetwork's drop error) instead of a silent close:
+    // The modelled response drop answers with an unaddressed fault (the
+    // other transports' drop wording) instead of a silent close:
     // "connection closed with zero response bytes" must stay unambiguous
     // proof that the request was never served, because
     // exchange_over_wire's stale-pool retry re-sends exactly in that case.
-    return encode_fault(codec_, kNetworkFault,
-                        "response " + std::string(response.kind_name()) + " from '" +
-                            response.sender + "' was dropped");
+    return encode_fault(codec_, kNetworkFault, drop_reason(response, Leg::Response));
   }
   try {
     return codec_.encode(response);
@@ -770,23 +686,9 @@ void SocketTransport::connection_loop(int fd) {
   }
 }
 
-void SocketTransport::complete(OutboundRequest& outbound, Message response,
-                               std::exception_ptr error) {
-  // Completion runs on transport threads; a throwing callback must not
-  // take a worker (or the destructor) down with it.
-  try {
-    if (outbound.callback) {
-      outbound.callback(std::move(response), error);
-    } else if (error) {
-      outbound.promise.set_exception(error);
-    } else {
-      outbound.promise.set_value(std::move(response));
-    }
-  } catch (...) {
-  }
-}
-
-void SocketTransport::enqueue_outbound(OutboundRequest outbound) {
+void SocketTransport::send_async(Message request, SendCallback on_complete) {
+  if (!on_complete) throw TransportError("send_async requires a completion callback");
+  PendingSend outbound{std::move(request), std::move(on_complete)};
   std::exception_ptr failure;
   {
     std::unique_lock lock(outbound_mutex_);
@@ -803,7 +705,7 @@ void SocketTransport::enqueue_outbound(OutboundRequest outbound) {
         outbound_cv_.notify_all();
         return;
       }
-      if (config_.overflow == SocketTransportConfig::Overflow::Reject) {
+      if (config_.overflow == Overflow::Reject) {
         failure = std::make_exception_ptr(
             TransportError("backpressure: outbound queue is full (" +
                            std::to_string(config_.max_outbound) + ")"));
@@ -822,23 +724,7 @@ void SocketTransport::enqueue_outbound(OutboundRequest outbound) {
       outbound_cv_.wait(lock);
     }
   }
-  complete(outbound, Message{}, failure);
-}
-
-std::future<Message> SocketTransport::send_async(Message request) {
-  OutboundRequest outbound;
-  outbound.request = std::move(request);
-  std::future<Message> future = outbound.promise.get_future();
-  enqueue_outbound(std::move(outbound));
-  return future;
-}
-
-void SocketTransport::send_async(Message request, SendCallback on_complete) {
-  if (!on_complete) throw TransportError("send_async requires a completion callback");
-  OutboundRequest outbound;
-  outbound.request = std::move(request);
-  outbound.callback = std::move(on_complete);
-  enqueue_outbound(std::move(outbound));
+  outbound.complete(Message{}, failure);
 }
 
 void SocketTransport::outbound_worker_loop() {
@@ -849,7 +735,7 @@ void SocketTransport::outbound_worker_loop() {
       return shutdown_.load(std::memory_order_acquire) || !outbound_.empty();
     });
     if (shutdown_.load(std::memory_order_acquire)) return;
-    OutboundRequest outbound = std::move(outbound_.front());
+    PendingSend outbound = std::move(outbound_.front());
     outbound_.pop_front();
     ++outbound_executing_;
     lock.unlock();
@@ -862,7 +748,7 @@ void SocketTransport::outbound_worker_loop() {
     } catch (...) {
       error = std::current_exception();
     }
-    complete(outbound, std::move(response), error);
+    outbound.complete(std::move(response), error);
 
     lock.lock();
     --outbound_executing_;
@@ -873,28 +759,13 @@ void SocketTransport::outbound_worker_loop() {
 }
 
 void SocketTransport::drain() {
-  for (;;) {
-    {
-      std::unique_lock lock(outbound_mutex_);
-      outbound_cv_.wait(lock,
-                        [&] { return outbound_.empty() && outbound_executing_ == 0; });
-    }
-    {
-      std::unique_lock lock(endpoints_mutex_);
-      endpoints_cv_.wait(lock, [&] { return total_executing_ == 0; });
-    }
-    // A handler finishing above may have enqueued more outbound work;
-    // only a pass that finds both sides idle without waiting is quiescent.
-    std::unique_lock outbound_lock(outbound_mutex_);
-    std::unique_lock endpoints_lock(endpoints_mutex_);
-    if (outbound_.empty() && outbound_executing_ == 0 && total_executing_ == 0) return;
-  }
+  registry_.drain(outbound_mutex_, outbound_cv_,
+                  [&] { return outbound_.empty() && outbound_executing_ == 0; });
 }
 
 std::size_t SocketTransport::pending() const {
-  std::unique_lock outbound_lock(outbound_mutex_);
-  std::unique_lock endpoints_lock(endpoints_mutex_);
-  return outbound_.size() + outbound_executing_ + total_executing_;
+  std::unique_lock lock(outbound_mutex_);
+  return outbound_.size() + outbound_executing_ + registry_.executing();
 }
 
 }  // namespace pti::transport

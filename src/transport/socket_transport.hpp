@@ -47,11 +47,12 @@
 //     the client retry a pooled connection that died before any response
 //     byte arrived without ever re-executing a handler.
 //
-// Endpoint contract (pinned by tests/test_socket_transport.cpp, identical
-// to AsyncTransport): attach() throws on a duplicate name; detach() blocks
-// until in-flight executions of that endpoint's handler finish (reentrant
-// self-detach returns immediately), after which destroying the handler's
-// owner is safe.
+// Endpoint contract (EndpointRegistry's; tests/test_transport.cpp's
+// EndpointContract suite): attach() throws on a duplicate name; detach()
+// blocks until in-flight executions of that endpoint's handler finish
+// (reentrant self-detach returns immediately). Limit: if b's handler
+// send()s to a and a's handler detaches b, detach waits forever — a runs
+// on another reader thread, and no thread-local check sees across a socket.
 //
 // Error marshalling: C++ exception objects cannot cross a wire. A handler
 // exception or transport-level failure on the responding side comes back
@@ -70,9 +71,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -85,6 +84,7 @@
 #include <shared_mutex>
 
 #include "serial/frame_codec.hpp"
+#include "transport/endpoint_registry.hpp"
 #include "transport/link_cost_model.hpp"
 #include "transport/message.hpp"
 #include "transport/peer_quota.hpp"
@@ -103,10 +103,7 @@ struct SocketTransportConfig {
   /// Cap on queued (not yet executing) send_async requests — the same
   /// overload protection AsyncTransport's max_inbox provides.
   std::size_t max_outbound = 1024;
-  enum class Overflow : std::uint8_t {
-    Block,   ///< send_async waits for queue space (flow control)
-    Reject,  ///< send_async fails the future/callback with TransportError
-  };
+  using Overflow = transport::Overflow;
   Overflow overflow = Overflow::Block;
   /// Decode-side caps handed to the FrameCodec.
   serial::FrameLimits frame_limits{};
@@ -154,18 +151,26 @@ class SocketTransport final : public Transport {
   void add_route(std::string_view peer, std::uint16_t port);
   void remove_route(std::string_view peer);
 
-  void attach(std::string_view name, Handler handler) override;
+  void attach(std::string_view name, Handler handler) override {
+    registry_.attach(name, std::move(handler));
+  }
   void detach(std::string_view name) override;
-  [[nodiscard]] bool is_attached(std::string_view name) const noexcept override;
+  [[nodiscard]] bool is_attached(std::string_view name) const noexcept override {
+    return registry_.is_attached(name);
+  }
 
   Message send(const Message& request) override;
 
-  [[nodiscard]] std::future<Message> send_async(Message request) override;
+  using Transport::send_async;
   void send_async(Message request, SendCallback on_complete) override;
 
-  void set_default_link(const LinkConfig& config) noexcept override;
+  void set_default_link(const LinkConfig& config) noexcept override {
+    link_model_.set_default_link(config);
+  }
   void set_link(std::string_view from, std::string_view to,
-                const LinkConfig& config) override;
+                const LinkConfig& config) override {
+    link_model_.set_link(from, to, config);
+  }
 
   /// Hostile-peer governance, enforced server-side in serve_request()
   /// before the handler runs; a rejection crosses back as an unforgeable
@@ -195,21 +200,13 @@ class SocketTransport final : public Transport {
   [[nodiscard]] std::size_t pending() const;
 
  private:
-  struct Endpoint {
-    std::string name;
-    std::shared_ptr<Handler> handler;
-    std::size_t executing = 0;  ///< in-flight handler executions
-  };
-
-  struct OutboundRequest {
-    Message request;
-    std::promise<Message> promise;
-    SendCallback callback;  ///< used instead of the promise when non-null
-  };
-
   /// Resolves the destination listener port for a recipient name; throws
   /// NetworkError when the name has no route and is not attached locally.
   [[nodiscard]] std::uint16_t resolve_port(const std::string& recipient) const;
+
+  /// Charges one traversal (modelled stats + virtual clock); false when
+  /// the per-link drop probability fired.
+  bool charge(const Message& message) { return link_model_.charge(message, stats_, clock_); }
 
   /// One synchronous framed exchange over a pooled connection.
   Message exchange_over_wire(const Message& request, std::uint16_t dest_port);
@@ -221,10 +218,6 @@ class SocketTransport final : public Transport {
   /// treats that as proof the request was never served.
   [[nodiscard]] std::vector<std::uint8_t> serve_request(Message request);
 
-  /// Charges one traversal (modelled stats + virtual clock); false when
-  /// the per-link drop probability fired.
-  bool charge(const Message& message);
-
   [[nodiscard]] int dial(std::uint16_t dest_port);
   /// Pops an idle pooled connection (sets `pooled`) or dials a fresh one.
   [[nodiscard]] int checkout_connection(std::uint16_t dest_port, bool& pooled);
@@ -233,23 +226,17 @@ class SocketTransport final : public Transport {
   void accept_loop();
   void connection_loop(int fd);
   void outbound_worker_loop();
-  void enqueue_outbound(OutboundRequest outbound);
   /// Joins reader threads whose connection already closed (called from
   /// the accept loop so long-lived transports don't accumulate one
   /// finished thread per past connection).
   void reap_finished_connections();
-  static void complete(OutboundRequest& outbound, Message response,
-                       std::exception_ptr error);
 
   SocketTransportConfig config_;
   serial::FrameCodec codec_;
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
 
-  mutable std::mutex endpoints_mutex_;  ///< guards endpoints_
-  std::condition_variable endpoints_cv_;  ///< wakes detach()/drain() waiters
-  std::map<std::string, std::shared_ptr<Endpoint>, util::ICaseLess> endpoints_;
-  std::size_t total_executing_ = 0;
+  EndpointRegistry registry_;
 
   mutable std::shared_mutex routes_mutex_;  ///< guards routes_
   std::map<std::string, std::uint16_t, util::ICaseLess> routes_;
@@ -259,7 +246,7 @@ class SocketTransport final : public Transport {
 
   mutable std::mutex outbound_mutex_;  ///< guards outbound_/outbound workers
   std::condition_variable outbound_cv_;
-  std::deque<OutboundRequest> outbound_;
+  std::deque<PendingSend> outbound_;
   std::size_t outbound_executing_ = 0;
 
   /// One inbound connection: its fd (-1 once the reader closed it, which

@@ -18,18 +18,25 @@ void address_response(const Message& request, Message& response) noexcept {
   response.recipient = request.sender;
 }
 
-// Default fallback: the exchange happens synchronously on the calling
-// thread; only the result delivery takes the asynchronous shape. Concrete
-// transports with real queueing (AsyncTransport) override both overloads.
+std::string drop_reason(const Message& message, Leg leg) {
+  if (leg == Leg::Response) {
+    return "response " + std::string(message.kind_name()) + " from '" + message.sender +
+           "' was dropped";
+  }
+  return "message " + std::string(message.kind_name()) + " from '" + message.sender +
+         "' to '" + message.recipient + "' was dropped";
+}
 
 std::future<Message> Transport::send_async(Message request) {
-  std::promise<Message> promise;
-  std::future<Message> future = promise.get_future();
-  try {
-    promise.set_value(send(request));
-  } catch (...) {
-    promise.set_exception(std::current_exception());
-  }
+  auto promise = std::make_shared<std::promise<Message>>();
+  std::future<Message> future = promise->get_future();
+  send_async(std::move(request), [promise](Message response, std::exception_ptr error) {
+    if (error) {
+      promise->set_exception(error);
+    } else {
+      promise->set_value(std::move(response));
+    }
+  });
   return future;
 }
 
@@ -42,6 +49,9 @@ void Transport::set_default_peer_quota(const PeerQuotaConfig&) {}
 void Transport::set_peer_quota(std::string_view, const PeerQuotaConfig&) {}
 
 PeerQuotaTable* Transport::peer_quotas() noexcept { return nullptr; }
+
+// Default fallback: the exchange happens synchronously on the calling
+// thread; only the result delivery takes the asynchronous shape.
 
 void Transport::send_async(Message request, SendCallback on_complete) {
   if (!on_complete) throw TransportError("send_async requires a completion callback");

@@ -19,13 +19,16 @@
 //     charged on the modelled sizes and the true framed bytes counted
 //     separately.
 //
-// Endpoint contract (identical for every implementation):
+// Endpoint contract (identical for every implementation; EndpointRegistry
+// in endpoint_registry.hpp is its one owner for the concurrent transports,
+// SimNetwork keeps a single-threaded copy):
 //   * attach() registers a handler under a name; attaching a name that is
-//     already attached throws TransportError — silent replacement hid
-//     misconfigured universes and made detach() ambiguous. The empty name
-//     is rejected everywhere: it is reserved by the wire protocol, where
-//     an *unaddressed* message (empty sender and recipient) marks a
-//     transport-level fault frame that no endpoint may be able to forge.
+//     already attached (names fold case) throws TransportError — silent
+//     replacement hid misconfigured universes and made detach() ambiguous.
+//     The empty name is rejected everywhere: it is reserved by the wire
+//     protocol, where an *unaddressed* message (empty sender and
+//     recipient) marks a transport-level fault frame that no endpoint may
+//     be able to forge.
 //   * detach() unregisters the endpoint. It is safe to call while the
 //     endpoint's handler is executing — including from inside the handler
 //     itself — and after it returns no *new* deliveries to that name
@@ -33,12 +36,17 @@
 //     until in-flight executions finish (see AsyncTransport for the
 //     blocking guarantees that make destroying the handler's owner safe).
 //     Detaching a name that is not attached is a no-op.
+//   * Limit: a reentrant detach is recognised on the calling thread only.
+//     On SocketTransport a handler that detaches another endpoint whose
+//     handler waits on it (b's handler send()s to a, a's handler detaches
+//     b) hangs: the wait crosses a socket to another reader thread.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "transport/message.hpp"
@@ -133,14 +141,16 @@ class Transport {
 
   /// Non-blocking exchange: the returned future is fulfilled with the
   /// response, or with the exception send() would have thrown. The default
-  /// implementation performs the exchange synchronously before returning —
-  /// a correct (if unpipelined) fallback that keeps simple transports like
-  /// SimNetwork working without their own queueing machinery.
+  /// implementation wraps the callback form, so a transport with its own
+  /// queueing overrides only that.
   [[nodiscard]] virtual std::future<Message> send_async(Message request);
 
   /// Callback form of send_async. The callback may run on an arbitrary
   /// transport thread (the calling thread under the default fallback) and
-  /// must not block it. Exactly one invocation per send.
+  /// must not block it. Exactly one invocation per send. The default
+  /// implementation performs the exchange synchronously before returning —
+  /// a correct (if unpipelined) fallback that keeps simple transports like
+  /// SimNetwork working without their own queueing machinery.
   virtual void send_async(Message request, SendCallback on_complete);
 
   /// Cost configuration: the default link and per-directed-link overrides.
@@ -184,5 +194,12 @@ void charge_traversal(const LinkConfig& link, std::size_t wire_bytes, NetStats& 
 /// Addresses `response` back to the requester. The routing is derived
 /// from the request — a handler cannot spoof the response's endpoints.
 void address_response(const Message& request, Message& response) noexcept;
+
+/// Which traversal of an exchange a message makes.
+enum class Leg : std::uint8_t { Request, Response };
+
+/// The reason every transport gives when the link model drops `message`
+/// (the text of the NetworkError, or of SocketTransport's fault frame).
+[[nodiscard]] std::string drop_reason(const Message& message, Leg leg);
 
 }  // namespace pti::transport

@@ -29,6 +29,7 @@
 #include "transport/peer_quota.hpp"
 #include "transport/sim_network.hpp"
 #include "transport/socket_transport.hpp"
+#include "transport_types.hpp"
 #include "util/epoch.hpp"
 #include "util/error.hpp"
 #include "util/interning.hpp"
@@ -394,24 +395,74 @@ TEST(PeerQuota, IdentityFloodSharesOverflowBucket) {
 
 // --- Quota enforcement at the transport seam ---------------------------------
 
-TEST(TransportQuota, SimNetworkRejectsOversizedFrame) {
-  SimNetwork net;
-  net.attach("server", [](const Message& m) {
+/// What one quota-refused request costs in NetStats and virtual time. The
+/// in-process transports run admission before any charge. On
+/// SocketTransport the requester charges the request when it writes it, and
+/// the serving side refuses it after it crossed the wire; charging it there
+/// instead would let a request the link model drops put bytes on the wire
+/// (see SocketTransport.DropProbabilityDropsBeforeAnyByteMoves).
+template <class T>
+struct RefusedRequestCharge {
+  static constexpr std::uint64_t messages = 0;
+  static constexpr std::uint64_t bytes = 0;
+  static constexpr std::uint64_t clock_ns = 0;
+};
+template <>
+struct RefusedRequestCharge<SocketTransport> {
+  static constexpr std::uint64_t messages = 1;
+  static constexpr std::uint64_t bytes = 79;  // the request's wire_size()
+  static constexpr std::uint64_t clock_ns = 1'006'320;  // 1 ms + 79 B at 100 Mbit/s
+};
+
+template <class T>
+class TransportQuotaRefusal : public ::testing::Test {};
+TYPED_TEST_SUITE(TransportQuotaRefusal, testing_support::AllTransports,
+                 testing_support::TransportName);
+
+TYPED_TEST(TransportQuotaRefusal, OversizedFrameIsRefusedAlike) {
+  TypeParam net;
+  std::atomic<int> handled{0};
+  net.attach("server", [&handled](const Message& m) {
+    ++handled;
     return Message{"server", m.sender, PushAck{true, "ok"}};
   });
   PeerQuotaConfig config;
-  config.max_frame_bytes = 8;  // smaller than any real message
+  config.max_frame_bytes = 64;
   net.set_default_peer_quota(config);
-  EXPECT_THROW((void)net.send(Message{"mallory", "server", CodeRequest{"x"}}),
-               pti::ResourceExhaustedError);
+  const Message oversized{"mallory", "server", CodeRequest{"a-code-request"}};
+  ASSERT_EQ(oversized.wire_size(), RefusedRequestCharge<SocketTransport>::bytes);
+
+  const std::uint64_t messages = net.stats().messages;
+  const std::uint64_t bytes = net.stats().bytes;
+  const std::uint64_t clock_ns = net.clock().now_ns();
+  // Every transport refuses with the same class; SocketTransport's refusal
+  // crosses back as an unforgeable "resource|" fault frame and is re-raised.
+  try {
+    (void)net.send(oversized);
+    FAIL() << "quota violation did not surface";
+  } catch (const pti::ResourceExhaustedError& e) {
+    EXPECT_NE(std::string(e.what()).find("mallory"), std::string::npos) << e.what();
+  }
   ASSERT_NE(net.peer_quotas(), nullptr);
   EXPECT_EQ(net.peer_quotas()->stats().rejected_frame_size, 1u);
-  // Lifting the quota (or never configuring one) admits the same message.
-  SimNetwork open_net;
+  EXPECT_EQ(handled.load(), 0);
+  EXPECT_EQ(net.stats().messages - messages, RefusedRequestCharge<TypeParam>::messages);
+  EXPECT_EQ(net.stats().bytes - bytes, RefusedRequestCharge<TypeParam>::bytes);
+  EXPECT_EQ(net.clock().now_ns() - clock_ns, RefusedRequestCharge<TypeParam>::clock_ns);
+
+  // The future form fails with the same class.
+  auto future = net.send_async(oversized);
+  EXPECT_THROW((void)future.get(), pti::ResourceExhaustedError);
+  EXPECT_EQ(net.peer_quotas()->stats().rejected_frame_size, 2u);
+  // A frame within the cap is admitted, and without a quota so is the
+  // oversized one.
+  EXPECT_NO_THROW((void)net.send(Message{"srv", "server", CodeRequest{"x"}}));
+  TypeParam open_net;
   open_net.attach("server", [](const Message& m) {
     return Message{"server", m.sender, PushAck{true, "ok"}};
   });
-  EXPECT_NO_THROW((void)open_net.send(Message{"mallory", "server", CodeRequest{"x"}}));
+  EXPECT_NO_THROW((void)open_net.send(oversized));
+  EXPECT_EQ(handled.load(), 1);
 }
 
 TEST(TransportQuota, SimNetworkChargesTypeInfoNames) {
@@ -429,43 +480,6 @@ TEST(TransportQuota, SimNetworkChargesTypeInfoNames) {
   TypeInfoRequest small;
   small.type_names = {"quota.fresh.Delta"};
   EXPECT_NO_THROW((void)net.send(Message{"mallory", "server", std::move(small)}));
-}
-
-TEST(TransportQuota, AsyncTransportFailsFutureWithResourceExhausted) {
-  AsyncTransport net;
-  net.attach("server", [](const Message& m) {
-    return Message{"server", m.sender, PushAck{true, "ok"}};
-  });
-  PeerQuotaConfig config;
-  config.max_frame_bytes = 8;
-  net.set_default_peer_quota(config);
-  auto future = net.send_async(Message{"mallory", "server", CodeRequest{"x"}});
-  EXPECT_THROW((void)future.get(), pti::ResourceExhaustedError);
-  EXPECT_THROW((void)net.send(Message{"mallory", "server", CodeRequest{"x"}}),
-               pti::ResourceExhaustedError);
-  net.drain();
-}
-
-TEST(TransportQuota, SocketTransportCrossesWireAsResourceFault) {
-  SocketTransport net;
-  net.attach("server", [](const Message& m) {
-    return Message{"server", m.sender, PushAck{true, "ok"}};
-  });
-  PeerQuotaConfig config;
-  config.max_frame_bytes = 64;
-  net.set_default_peer_quota(config);
-  // The rejection happens server-side AFTER the frame crossed the wire,
-  // comes back as an unforgeable "resource|" fault frame, and is
-  // re-raised with the same type the in-process transports throw.
-  try {
-    (void)net.send(Message{"mallory", "server", CodeRequest{"a-code-request"}});
-    FAIL() << "quota violation did not surface";
-  } catch (const pti::ResourceExhaustedError& e) {
-    EXPECT_NE(std::string(e.what()).find("mallory"), std::string::npos);
-  }
-  EXPECT_EQ(net.peer_quotas()->stats().rejected_frame_size, 1u);
-  EXPECT_NO_THROW((void)net.send(Message{"srv", "server", CodeRequest{"x"}}));
-  net.drain();
 }
 
 TEST(TransportQuota, RateLimitRecoversOnVirtualClock) {

@@ -1,16 +1,16 @@
 // transport::SocketTransport — real framed bytes over loopback TCP.
 //
-// Four layers of pinning:
-//   * the endpoint contract shared by every Transport implementation:
-//     double-attach throws, detach blocks on in-flight handlers (reentrant
-//     self-detach returns), unknown recipients fail with NetworkError;
+// Three layers of pinning (the endpoint contract shared by every Transport
+// implementation is the typed EndpointContract suite in test_transport.cpp):
 //   * wire behavior only a real socket has: handler exceptions marshalled
 //     back as transport faults, hostile raw bytes answered with a fault
 //     frame and a closed connection, cross-instance routing where nested
 //     protocol round trips flow between two listeners;
 //   * cost-model parity: modelled NetStats/clock charges are identical to
-//     SimNetwork's for the same traffic, while socket_stats() counts the
-//     real framed bytes;
+//     SimNetwork's for the same delivered traffic, while socket_stats()
+//     counts the real framed bytes. A request refused by quota admission
+//     is the exception: the requester already charged it (pinned by
+//     TransportQuotaRefusal in test_governance.cpp);
 //   * protocol equivalence: the fixed-seed fuzz rounds (shared generators
 //     in protocol_fuzz_common.hpp) must produce identical accept/reject
 //     verdicts, matched interests, delivered contents and modelled byte
@@ -65,7 +65,7 @@ Message ping(std::string sender, std::string recipient, std::string detail = "pi
                  transport::PushAck{true, std::move(detail)}};
 }
 
-// --- endpoint contract --------------------------------------------------------
+// --- the real wire ------------------------------------------------------------
 
 TEST(SocketTransport, ExchangesCrossTheRealWire) {
   SocketTransport net;
@@ -184,80 +184,6 @@ TEST(SocketTransport, ConnectRetryRecoversWhenListenerComesUp) {
   EXPECT_EQ(ack.detail, "finally");
   EXPECT_GE(client.socket_stats().connect_retries.get(), 1u);
   EXPECT_GE(client.socket_stats().connections_dialed.get(), 1u);
-}
-
-TEST(SocketTransport, UnknownRecipientThrowsNetworkError) {
-  SocketTransport net;
-  EXPECT_THROW((void)net.send(ping("caller", "nobody")), NetworkError);
-}
-
-TEST(SocketTransport, DoubleAttachThrows) {
-  SocketTransport net;
-  // The empty name is reserved for unaddressed transport fault frames.
-  EXPECT_THROW(net.attach("", [](const Message&) { return Message{}; }),
-               TransportError);
-  net.attach("peer", [](const Message&) { return Message{}; });
-  EXPECT_THROW(net.attach("peer", [](const Message&) { return Message{}; }),
-               TransportError);
-  EXPECT_THROW(net.attach("PEER", [](const Message&) { return Message{}; }),
-               TransportError);  // endpoint names are case-insensitive
-  net.detach("peer");
-  EXPECT_FALSE(net.is_attached("peer"));
-  net.attach("peer", [](const Message&) { return Message{}; });  // reattach ok
-  net.detach("peer");
-}
-
-TEST(SocketTransport, DetachBlocksUntilInFlightHandlerFinishes) {
-  SocketTransport net;
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool entered = false;
-  bool release = false;
-  std::atomic<bool> handler_done{false};
-
-  net.attach("slow", [&](const Message& request) {
-    {
-      std::unique_lock lock(mutex);
-      entered = true;
-      cv.notify_all();
-      cv.wait(lock, [&] { return release; });
-    }
-    handler_done.store(true);
-    Message response;
-    response.payload = transport::PushAck{true, "done"};
-    address_response(request, response);
-    return response;
-  });
-
-  auto future = net.send_async(ping("caller", "slow"));
-  {
-    std::unique_lock lock(mutex);
-    cv.wait(lock, [&] { return entered; });
-  }
-  std::thread releaser([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    std::unique_lock lock(mutex);
-    release = true;
-    cv.notify_all();
-  });
-  net.detach("slow");  // must block until the handler above returns
-  EXPECT_TRUE(handler_done.load());
-  releaser.join();
-  (void)future.get();
-}
-
-TEST(SocketTransport, ReentrantSelfDetachReturnsImmediately) {
-  SocketTransport net;
-  net.attach("self", [&net](const Message& request) {
-    net.detach("self");  // must not deadlock waiting for itself
-    Message response;
-    response.payload = transport::PushAck{true, "detached"};
-    address_response(request, response);
-    return response;
-  });
-  const Message response = net.send(ping("caller", "self"));
-  EXPECT_EQ(std::get<transport::PushAck>(response.payload).detail, "detached");
-  EXPECT_FALSE(net.is_attached("self"));
 }
 
 TEST(SocketTransport, HandlerExceptionsAreMarshalledBack) {

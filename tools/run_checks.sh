@@ -19,6 +19,9 @@
 # Exit codes (fail-fast: the first failing stage's code is returned):
 #   10 debug configure/build   20 debug ctest
 #   30 tsan  configure/build   40 tsan  ctest
+#   42 tsan repeats (50x) of the endpoint-contract, detach and
+#      backpressure tests — the locking EndpointRegistry owns (also
+#      under FAST=1)
 #   35 ubsan configure/build   45 ubsan ctest   (halts on the first report)
 #   50 asan  configure/build   60 asan  ctest    (ASAN=1 only)
 #   70 clang-format gate       80 adversarial soak gate (SOAK=1 only)
@@ -74,6 +77,18 @@ stage 10 "configure + build: debug preset" build_preset debug
 stage 20 "ctest: debug preset" ctest --preset debug "${CTEST_JOBS[@]}"
 stage 30 "configure + build: tsan preset" build_preset tsan
 stage 40 "ctest: tsan preset" ctest --preset tsan "${CTEST_JOBS[@]}" "${TSAN_FILTER[@]}"
+
+# The endpoint registry owns exactly the synchronisation these tests
+# exercise (attach/detach, in-flight counts, drain, queue backpressure),
+# and one pass misses rare interleavings: a first-contact race once
+# failed about one run in ten. Same commands as CI's tsan leg.
+tsan_repeats() {
+  build-tsan/test_transport --gtest_repeat=50 --gtest_brief=1 \
+    --gtest_filter='EndpointContract*:AsyncTransportTest.*Detach*:AsyncTransportTest.*Backpressure*:AsyncTransportTest.HandlerContext*' && \
+  build-tsan/test_socket_transport --gtest_repeat=50 --gtest_brief=1 \
+    --gtest_filter='SocketTransport.*Backpressure*'
+}
+stage 42 "tsan repeats: endpoint contract, detach, backpressure (50x)" tsan_repeats
 stage 35 "configure + build: ubsan preset" build_preset ubsan
 stage 45 "ctest: ubsan preset" ctest --preset ubsan "${CTEST_JOBS[@]}"
 if [[ "${ASAN:-0}" == "1" ]]; then
