@@ -37,7 +37,6 @@ namespace {
 using pti::sim::ScenarioConfig;
 using pti::sim::ScenarioResult;
 using pti::sim::ScenarioScript;
-using pti::transport::InterestEntry;
 using pti::transport::InterestIndex;
 using pti::transport::SubscriberId;
 using pti::util::InternedName;
@@ -59,9 +58,23 @@ const std::vector<InternedName>& family_names() {
   return names;
 }
 
+/// Family index of an interned family name, by its id's raw value (the
+/// group probe both fan-out paths share).
+std::uint32_t family_of(InternedName interest) {
+  static const std::vector<std::uint32_t> by_id = [] {
+    std::vector<std::uint32_t> out;
+    for (std::uint32_t f = 0; f < kFamilies; ++f) {
+      const std::uint32_t id = family_names()[f].value();
+      if (id >= out.size()) out.resize(id + 1, 0);
+      out[id] = f;
+    }
+    return out;
+  }();
+  return by_id[interest.value()];
+}
+
 /// Draws the same interest assignment the scan baseline uses, so both
-/// benches discover identical target sets. The interest's family index
-/// doubles as its fingerprint (the group probe both paths share).
+/// benches discover identical target sets.
 std::vector<std::vector<std::uint32_t>> subscriber_families(std::size_t subs) {
   pti::util::Rng rng(99);
   std::vector<std::vector<std::uint32_t>> families(subs);
@@ -87,7 +100,7 @@ void BM_IndexFanout(benchmark::State& state) {
   for (std::size_t s = 0; s < subs; ++s) {
     const SubscriberId sub = index.add_subscriber();
     for (const std::uint32_t family : assignment[s]) {
-      index.add_interest(sub, family_names()[family], family);
+      index.add_interest(sub, family_names()[family]);
     }
   }
 
@@ -98,7 +111,7 @@ void BM_IndexFanout(benchmark::State& state) {
   for (auto _ : state) {
     const std::uint64_t group = published++ % kGroups;
     index.collect_matches(
-        [group](const InterestEntry& entry) { return entry.fingerprint % kGroups == group; },
+        [group](InternedName interest) { return family_of(interest) % kGroups == group; },
         out, scratch);
     matched = out.size();
     benchmark::DoNotOptimize(out.data());
@@ -152,16 +165,15 @@ void BM_IndexSubscribeChurn(benchmark::State& state) {
   for (std::size_t s = 0; s < subs; ++s) {
     const SubscriberId sub = index.add_subscriber();
     for (const std::uint32_t family : assignment[s]) {
-      index.add_interest(sub, family_names()[family], family);
+      index.add_interest(sub, family_names()[family]);
     }
   }
 
   std::uint64_t cycle = 0;
   for (auto _ : state) {
     const SubscriberId sub = index.add_subscriber();
-    index.add_interest(sub, family_names()[cycle % kFamilies], cycle % kFamilies);
-    index.add_interest(sub, family_names()[(cycle + 7) % kFamilies],
-                       (cycle + 7) % kFamilies);
+    index.add_interest(sub, family_names()[cycle % kFamilies]);
+    index.add_interest(sub, family_names()[(cycle + 7) % kFamilies]);
     index.remove_subscriber(sub);
     if (++cycle % 4096 == 0) index.epochs().try_reclaim();
   }

@@ -10,6 +10,8 @@
 // CodeRequest messages with real envelope bytes and real description XML
 // crossing the (simulated) wire, registers interests in the same shared
 // InterestIndex, and matches via the same match_first scan Peer uses.
+// As in Peer, each role has one core: decide() answers every push shape,
+// settle() reads every session ack, and outcomes come from replies alone.
 // The differences are all precomputation, delegated to TypeUniverse:
 //   * pushed-type resolution is a content-hash probe, not an XML parse;
 //   * the conformance verdict is a matrix probe, not a checker run (the
@@ -25,28 +27,22 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "sim/type_universe.hpp"
-#include "transport/interest_index.hpp"
-#include "transport/intro_registry.hpp"
+#include "transport/assembly_hub.hpp"
 #include "transport/peer.hpp"
 #include "transport/transport.hpp"
 #include "util/flat_id_map.hpp"
 
 namespace pti::sim {
 
-/// Per-peer protocol counters (aggregated by the scenario's digests).
+/// Per-peer fetch counters (aggregated into the scenario's stats).
 struct PeerCounters {
-  std::uint64_t pushes_sent = 0;
-  std::uint64_t pushes_received = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
   std::uint64_t typeinfo_requests = 0;
-  std::uint64_t typeinfo_served = 0;
   std::uint64_t code_requests = 0;
-  std::uint64_t code_served = 0;
   std::uint64_t code_bytes_fetched = 0;
 };
 
@@ -54,10 +50,12 @@ class LightweightPeer {
  public:
   static constexpr std::uint32_t kNoInterest = 0xFFFFFFFFu;
 
+  /// Registers in `hub`'s InterestIndex. In session mode, acks advertise
+  /// description hashes into `hub`'s IntroRegistry and senders consult it
+  /// to elide description bytes: a byte-saving hint, never a verdict input.
   LightweightPeer(std::uint32_t index, transport::Transport& network,
-                  TypeUniverse& universe, transport::InterestIndex& interests,
-                  transport::ProtocolMode mode, bool use_sessions = false,
-                  transport::IntroRegistry* intro_registry = nullptr);
+                  TypeUniverse& universe, transport::AssemblyHub& hub,
+                  transport::ProtocolMode mode, bool use_sessions = false);
   ~LightweightPeer();
   LightweightPeer(const LightweightPeer&) = delete;
   LightweightPeer& operator=(const LightweightPeer&) = delete;
@@ -85,50 +83,56 @@ class LightweightPeer {
   struct PushOutcome {
     bool delivered = false;  ///< receiver accepted (a conformant interest)
     bool dropped = false;    ///< the network dropped or faulted the exchange
-    /// Interest family the receiver matched (kNoInterest unless delivered).
-    /// Filled by the session paths from the ack detail; the cold path
-    /// reports it via the receiver's last_matched_interest() instead.
+    /// Interest family the receiver matched, read from the ack's detail
+    /// (kNoInterest unless delivered).
     std::uint32_t matched = kNoInterest;
   };
   /// Publishes family `family` to `target` (one full protocol exchange).
   PushOutcome publish_to(const LightweightPeer& target, std::uint32_t family);
   /// Publishes several families to `target` as ONE SessionBatch frame
   /// (session mode only). Entries are processed by the receiver in order
-  /// and acked positionally; a Reset slot is replayed individually, so a
-  /// refused entry never desynchronises the rest. Per-entry outcomes land
-  /// in `out`, in input order.
+  /// and acked positionally; a Reset slot gets its one replay on its own,
+  /// so a refused entry never desynchronises the rest. Per-entry outcomes
+  /// land in `out`, in input order.
   void publish_batch_to(const LightweightPeer& target,
                         const std::vector<std::uint32_t>& families,
                         std::vector<PushOutcome>& out);
-
-  /// Interest family matched by the most recent accepted push delivered
-  /// TO this peer (kNoInterest when the last push was rejected). Valid
-  /// between events on the single-threaded scenario loop.
-  [[nodiscard]] std::uint32_t last_matched_interest() const noexcept {
-    return last_matched_;
-  }
 
   [[nodiscard]] const PeerCounters& counters() const noexcept { return counters_; }
 
  private:
   [[nodiscard]] transport::Message handle(const transport::Message& request);
-  [[nodiscard]] transport::Message handle_push(const transport::Message& request,
+  /// Cold receive: envelope resolution, eager extras and step 2
+  /// (description fetch), then decide().
+  [[nodiscard]] transport::PushAck handle_push(const std::string& sender,
                                                const transport::ObjectPush& push);
-  [[nodiscard]] transport::Message handle_session_push(
-      const transport::Message& request, const transport::SessionPush& push);
-  [[nodiscard]] transport::Message handle_session_batch(
-      const transport::Message& request, const transport::SessionBatch& batch);
-  /// Receive-path core shared by single pushes and batch entries: learns
-  /// intros, decides the verdict, advertises learned description hashes.
-  [[nodiscard]] transport::SessionAck process_session_push(
+  /// The answer to one session push, for kind 9 and for each kind-11 slot:
+  /// learns intros, prepays eager assemblies, Resets an unknown wire id,
+  /// then decide(). A throw answers this slot alone with Error.
+  [[nodiscard]] transport::SessionAck answer_session_push(
       const std::string& sender, const transport::SessionPush& push);
+  /// The receiver core, Fig. 1 steps 3-5 for a resolved family: the first
+  /// conformant interest, then the code fetch (once per family). A
+  /// delivered ack's detail names the matched interest type.
+  [[nodiscard]] transport::PushAck decide(const std::string& sender, std::uint32_t family);
+
   /// Builds one SessionPush for `family`; when `fresh`, attaches the intro
   /// (description bytes elided when the shared registry says `target`
   /// already advertised the hash).
   [[nodiscard]] transport::SessionPush build_session_entry(const std::string& target,
                                                            std::uint32_t family,
                                                            bool fresh);
-  PushOutcome publish_session(const LightweightPeer& target, std::uint32_t family);
+  /// One unbatched SessionPush of `family`; on Reset, replays once when
+  /// `may_replay`.
+  PushOutcome push_session(const LightweightPeer& target, std::uint32_t family,
+                           bool may_replay);
+  /// Reads one SessionAck slot for `family`, sent to the target whose
+  /// intro row is `row`: records the advertised hashes; Ok commits the
+  /// intro (when `fresh`), Error is a drop, and Reset clears the row and
+  /// returns nullopt, the caller's cue to replay.
+  [[nodiscard]] std::optional<PushOutcome> settle(const std::string& target, std::size_t row,
+                                                  const transport::SessionAck& ack,
+                                                  std::uint32_t family, bool fresh);
 
   /// One bitset over the universe's families per session peer, keyed by
   /// scenario-local peer index; the rows live in one contiguous array.
@@ -155,7 +159,7 @@ class LightweightPeer {
   std::string name_;
   transport::Transport& network_;
   TypeUniverse& universe_;
-  transport::InterestIndex& interests_;
+  transport::AssemblyHub& hub_;
   transport::ProtocolMode mode_;
 
   bool live_ = false;
@@ -166,7 +170,6 @@ class LightweightPeer {
   /// like a real peer's registry.
   std::vector<bool> known_;
   std::vector<bool> loaded_;
-  std::uint32_t last_matched_ = kNoInterest;
   PeerCounters counters_;
 
   /// Session mode: pushes travel as SessionPush frames (wire id = family
@@ -180,11 +183,6 @@ class LightweightPeer {
   SessionBits session_known_;
   /// Per-entry "carries an intro" flags of the frame being planned.
   std::vector<bool> batch_fresh_;
-  /// Scenario-shared intro registry (owned by the hub): receivers advertise
-  /// description hashes in their acks; senders consult it to elide intro
-  /// description bytes a target already holds. Byte-saving hint only —
-  /// never consulted for a verdict.
-  transport::IntroRegistry* intro_registry_ = nullptr;
 };
 
 }  // namespace pti::sim

@@ -108,9 +108,8 @@ Scenario::Scenario(const ScenarioConfig& config)
   live_pos_.resize(count);
   sub_to_peer_.assign(count, 0);
   for (std::uint32_t i = 0; i < count; ++i) {
-    auto peer = std::make_unique<LightweightPeer>(
-        i, net_, *universe_, hub_.interests(), config_.mode, config_.use_sessions,
-        config_.use_sessions ? &hub_.intro_registry() : nullptr);
+    auto peer = std::make_unique<LightweightPeer>(i, net_, *universe_, hub_, config_.mode,
+                                                  config_.use_sessions);
     std::vector<std::uint32_t> families;
     for (std::size_t k = 0; k < config_.interests_per_peer; ++k) {
       const std::uint32_t family = draw_family();
@@ -243,27 +242,22 @@ void Scenario::fire_publish() {
   for (const transport::SubscriberId sub : target_scratch_) {
     const std::uint32_t target = sub_to_peer_[sub];
     ++stats_.deliveries;
-    const LightweightPeer::PushOutcome outcome =
-        peers_[publisher]->publish_to(*peers_[target], family);
-    mix_delivery(target, family, outcome,
-                 outcome.delivered ? peers_[target]->last_matched_interest()
-                                   : LightweightPeer::kNoInterest);
+    mix_delivery(target, family, peers_[publisher]->publish_to(*peers_[target], family));
     maybe_reclaim();
   }
 }
 
 void Scenario::mix_delivery(std::uint32_t target, std::uint32_t family,
-                            const LightweightPeer::PushOutcome& outcome,
-                            std::uint32_t matched) {
+                            const LightweightPeer::PushOutcome& outcome) {
   if (outcome.dropped) {
     ++stats_.drops;
     mix_trace(kTagDrop, target, family);
   } else if (outcome.delivered) {
     ++stats_.accepts;
-    mix_trace(kTagAccept, target, family, matched);
+    mix_trace(kTagAccept, target, family, outcome.matched);
     accept_digest_ ^= (static_cast<std::uint64_t>(target) << 32) | family;
     accept_digest_ *= util::kFnvPrime64;
-    accept_digest_ ^= (std::uint64_t{1} << 40) | matched;
+    accept_digest_ ^= (std::uint64_t{1} << 40) | outcome.matched;
     accept_digest_ *= util::kFnvPrime64;
   } else {
     ++stats_.rejects;
@@ -301,7 +295,7 @@ void Scenario::flush_session_batches() {
   }
 
   for (const PendingDelivery& d : pending_deliveries_) {
-    mix_delivery(d.target, d.family, d.outcome, d.outcome.matched);
+    mix_delivery(d.target, d.family, d.outcome);
     maybe_reclaim();
   }
   pending_deliveries_.clear();
@@ -367,8 +361,8 @@ void Scenario::match_targets(std::uint32_t family, transport::SubscriberId publi
                                   ? config_.fanout_cap
                                   : config_.fanout_cap + 1;
     hub_.interests().collect_matches(
-        [&](const transport::InterestEntry& entry) {
-          const std::uint32_t interest = universe_->interest_of_id(entry.interest);
+        [&](util::InternedName id) {
+          const std::uint32_t interest = universe_->interest_of_id(id);
           return interest != TypeUniverse::kNoType && universe_->group_of(interest) == group;
         },
         out, fanout_scratch_, limit);

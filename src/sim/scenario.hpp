@@ -171,7 +171,7 @@ class Scenario {
   /// block both the immediate path and the deferred flush go through, so
   /// batching cannot drift from the pinned fold.
   void mix_delivery(std::uint32_t target, std::uint32_t family,
-                    const LightweightPeer::PushOutcome& outcome, std::uint32_t matched);
+                    const LightweightPeer::PushOutcome& outcome);
   /// Sends every deferred delivery as SessionBatch frames (grouped by
   /// (publisher, target) pair in first-touch order, chunks of at most
   /// session_batch entries) and mixes outcomes in original delivery order.

@@ -116,12 +116,9 @@ TypeUniverse::TypeUniverse(const TypeUniverseConfig& config, transport::Assembly
     Family& family = families_[t];
     const reflect::TypeDescription* pub_desc =
         domain_.registry().find(family.publisher_type);
-    const reflect::TypeDescription* int_desc =
-        domain_.registry().find(family.interest_type);
     family.description_xml = serial::type_description_to_string(*pub_desc);
     family.description_hash = util::fnv1a64(family.description_xml);
-    family.interest_id = int_desc->name_id();
-    family.interest_fingerprint = int_desc->fingerprint();
+    family.interest_id = domain_.registry().find(family.interest_type)->name_id();
     family_by_type_name_.emplace(family.publisher_type, t);
     family_by_interest_name_.emplace(family.interest_type, t);
     family_by_interest_id_.emplace(family.interest_id, t);

@@ -100,9 +100,6 @@ class TypeUniverse {
   [[nodiscard]] util::InternedName interest_id(std::uint32_t family) const noexcept {
     return families_[family].interest_id;
   }
-  [[nodiscard]] std::uint64_t interest_fingerprint(std::uint32_t family) const noexcept {
-    return families_[family].interest_fingerprint;
-  }
   /// Family whose interest type has this interned id; kNoType otherwise.
   [[nodiscard]] std::uint32_t interest_of_id(util::InternedName id) const noexcept;
   /// Family whose interest type has this qualified name; kNoType otherwise.
@@ -129,7 +126,6 @@ class TypeUniverse {
     std::vector<std::uint8_t> envelope;
     std::vector<std::uint8_t> payload;  ///< envelope's raw payload bytes
     util::InternedName interest_id;
-    std::uint64_t interest_fingerprint = 0;
   };
 
   reflect::Domain domain_;

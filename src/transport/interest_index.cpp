@@ -195,29 +195,19 @@ void InterestIndex::remove_subscriber(SubscriberId sub) {
   std::scoped_lock lock(subscriber_mutex_);
   SubscriberSlot* slot = slot_of(sub);
   if (slot == nullptr || !slot->live.load(std::memory_order_relaxed)) return;
-  const std::vector<InterestEntry>* current =
+  const std::vector<util::InternedName>* current =
       slot->interests.load(std::memory_order_relaxed);
   if (current != nullptr) {
-    for (const InterestEntry& entry : *current) {
-      bool emptied = false;
-      std::uint64_t posting_fingerprint = 0;
-      {
-        Shard& shard = shards_[shard_of(entry.interest)];
-        std::unique_lock shard_lock(shard.mutex);
-        const auto it = shard.postings.find(entry.interest);
-        if (it != shard.postings.end() &&
-            it->second->subscribers.erase(sub, epochs_)) {
-          entries_.fetch_sub(1, std::memory_order_relaxed);
-          if (it->second->subscribers.live() == 0) {
-            emptied = true;
-            posting_fingerprint = it->second->fingerprint;
-          }
-        }
+    for (const util::InternedName interest : *current) {
+      Shard& shard = shards_[shard_of(interest)];
+      std::unique_lock shard_lock(shard.mutex);
+      const auto it = shard.postings.find(interest);
+      if (it != shard.postings.end() && it->second->erase(sub, epochs_)) {
+        entries_.fetch_sub(1, std::memory_order_relaxed);
       }
-      if (emptied) bucket_remove(posting_fingerprint, entry.interest);
     }
     slot->interests.store(nullptr, std::memory_order_release);
-    epochs_.retire(const_cast<std::vector<InterestEntry>*>(current));
+    epochs_.retire(const_cast<std::vector<util::InternedName>*>(current));
   }
   slot->live.store(false, std::memory_order_release);
   free_ids_.push_back(sub);
@@ -229,110 +219,55 @@ bool InterestIndex::is_live(SubscriberId sub) const noexcept {
   return slot != nullptr && slot->live.load(std::memory_order_acquire);
 }
 
-void InterestIndex::add_interest(SubscriberId sub, util::InternedName interest,
-                                 std::uint64_t fingerprint) {
+void InterestIndex::add_interest(SubscriberId sub, util::InternedName interest) {
   if (!interest.valid()) throw TransportError("cannot register an invalid interest id");
   std::scoped_lock lock(subscriber_mutex_);
   SubscriberSlot* slot = slot_of(sub);
   if (slot == nullptr || !slot->live.load(std::memory_order_relaxed)) {
     throw TransportError("interest registered for an unknown subscriber");
   }
-  const std::vector<InterestEntry>* current =
+  const std::vector<util::InternedName>* current =
       slot->interests.load(std::memory_order_relaxed);
-  if (current != nullptr) {
-    for (const InterestEntry& entry : *current) {
-      if (entry.interest == interest) return;  // idempotent per (sub, interest)
-    }
+  if (current != nullptr &&
+      std::find(current->begin(), current->end(), interest) != current->end()) {
+    return;  // idempotent per (sub, interest)
   }
-  auto* grown = current != nullptr ? new std::vector<InterestEntry>(*current)
-                                   : new std::vector<InterestEntry>();
-  grown->push_back(InterestEntry{interest, fingerprint});
+  auto* grown = current != nullptr ? new std::vector<util::InternedName>(*current)
+                                   : new std::vector<util::InternedName>();
+  grown->push_back(interest);
   slot->interests.store(grown, std::memory_order_release);
-  if (current != nullptr) epochs_.retire(const_cast<std::vector<InterestEntry>*>(current));
-
-  bool first_subscriber = false;
-  std::uint64_t posting_fingerprint = 0;
-  {
-    Shard& shard = shards_[shard_of(interest)];
-    std::unique_lock shard_lock(shard.mutex);
-    auto& posting = shard.postings[interest];
-    if (posting == nullptr) {
-      posting = std::make_unique<Posting>();
-      posting->fingerprint = fingerprint;
-    }
-    first_subscriber = posting->subscribers.live() == 0;
-    posting->subscribers.append(sub, epochs_);
-    posting_fingerprint = posting->fingerprint;
-    entries_.fetch_add(1, std::memory_order_relaxed);
+  if (current != nullptr) {
+    epochs_.retire(const_cast<std::vector<util::InternedName>*>(current));
   }
-  // Bucket maintenance happens after the posting lock is released: writers
-  // are already serialized by subscriber_mutex_, so keeping the two shard
-  // lock families disjoint costs nothing and means the index never nests
-  // one shard mutex inside another.
-  if (first_subscriber) bucket_add(posting_fingerprint, interest);
+
+  Shard& shard = shards_[shard_of(interest)];
+  std::unique_lock shard_lock(shard.mutex);
+  auto& posting = shard.postings[interest];
+  if (posting == nullptr) posting = std::make_unique<PostingList>();
+  posting->append(sub, epochs_);
+  entries_.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool InterestIndex::remove_interest(SubscriberId sub, util::InternedName interest) {
-  std::scoped_lock lock(subscriber_mutex_);
-  SubscriberSlot* slot = slot_of(sub);
-  if (slot == nullptr || !slot->live.load(std::memory_order_relaxed)) return false;
-  const std::vector<InterestEntry>* current =
-      slot->interests.load(std::memory_order_relaxed);
-  if (current == nullptr) return false;
-  auto* shrunk = new std::vector<InterestEntry>();
-  shrunk->reserve(current->size());
-  bool found = false;
-  for (const InterestEntry& entry : *current) {
-    if (entry.interest == interest) {
-      found = true;
-      continue;
-    }
-    shrunk->push_back(entry);
-  }
-  if (!found) {
-    delete shrunk;
-    return false;
-  }
-  slot->interests.store(shrunk, std::memory_order_release);
-  epochs_.retire(const_cast<std::vector<InterestEntry>*>(current));
-
-  bool emptied = false;
-  std::uint64_t posting_fingerprint = 0;
-  {
-    Shard& shard = shards_[shard_of(interest)];
-    std::unique_lock shard_lock(shard.mutex);
-    const auto it = shard.postings.find(interest);
-    if (it != shard.postings.end() && it->second->subscribers.erase(sub, epochs_)) {
-      entries_.fetch_sub(1, std::memory_order_relaxed);
-      if (it->second->subscribers.live() == 0) {
-        emptied = true;
-        posting_fingerprint = it->second->fingerprint;
-      }
-    }
-  }
-  if (emptied) bucket_remove(posting_fingerprint, interest);
-  return true;
-}
-
-const std::vector<InterestEntry>* InterestIndex::interests_of(
+const std::vector<util::InternedName>* InterestIndex::interests_of(
     SubscriberId sub) const noexcept {
   const SubscriberSlot* slot = slot_of(sub);
   if (slot == nullptr) return nullptr;
   return slot->interests.load(std::memory_order_acquire);
 }
 
-std::optional<InterestEntry> InterestIndex::match_first(
-    SubscriberId sub, const std::function<bool(const InterestEntry&)>& accept) const {
+std::optional<util::InternedName> InterestIndex::match_first(
+    SubscriberId sub, const std::function<bool(util::InternedName)>& accept) const {
   util::EpochManager::Pin pin(epochs_);
-  const std::vector<InterestEntry>* interests = interests_of(sub);
+  const std::vector<util::InternedName>* interests = interests_of(sub);
   if (interests == nullptr) return std::nullopt;
-  for (const InterestEntry& entry : *interests) {
-    if (accept(entry)) return entry;
+  for (const util::InternedName interest : *interests) {
+    if (accept(interest)) return interest;
   }
   return std::nullopt;
 }
 
-const InterestIndex::Posting* InterestIndex::find_posting(util::InternedName interest) const {
+const InterestIndex::PostingList* InterestIndex::find_posting(
+    util::InternedName interest) const {
   const Shard& shard = shards_[shard_of(interest)];
   std::shared_lock lock(shard.mutex);
   const auto it = shard.postings.find(interest);
@@ -341,9 +276,9 @@ const InterestIndex::Posting* InterestIndex::find_posting(util::InternedName int
 
 std::size_t InterestIndex::collect_subscribers(util::InternedName interest,
                                                std::vector<SubscriberId>& out) const {
-  const Posting* posting = find_posting(interest);
+  const PostingList* posting = find_posting(interest);
   if (posting == nullptr) return 0;
-  return posting->subscribers.collect(out);
+  return posting->collect(out);
 }
 
 std::size_t InterestIndex::collect_interests(std::vector<util::InternedName>& out) const {
@@ -351,7 +286,7 @@ std::size_t InterestIndex::collect_interests(std::vector<util::InternedName>& ou
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mutex);
     for (const auto& [interest, posting] : shard.postings) {
-      if (posting->subscribers.live() > 0) out.push_back(interest);
+      if (posting->live() > 0) out.push_back(interest);
     }
   }
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(before), out.end(),
@@ -359,42 +294,8 @@ std::size_t InterestIndex::collect_interests(std::vector<util::InternedName>& ou
   return out.size() - before;
 }
 
-void InterestIndex::bucket_add(std::uint64_t fingerprint, util::InternedName interest) {
-  BucketShard& shard = bucket_shards_[bucket_shard_of(fingerprint)];
-  std::unique_lock lock(shard.mutex);
-  auto& bucket = shard.buckets[fingerprint];
-  if (bucket == nullptr) bucket = std::make_unique<PostingList>();
-  bucket->append(interest.value(), epochs_);
-}
-
-void InterestIndex::bucket_remove(std::uint64_t fingerprint, util::InternedName interest) {
-  BucketShard& shard = bucket_shards_[bucket_shard_of(fingerprint)];
-  std::unique_lock lock(shard.mutex);
-  const auto it = shard.buckets.find(fingerprint);
-  if (it != shard.buckets.end()) it->second->erase(interest.value(), epochs_);
-}
-
-std::size_t InterestIndex::equivalence_candidates(std::uint64_t fingerprint,
-                                                  std::vector<util::InternedName>& out) const {
-  const BucketShard& shard = bucket_shards_[bucket_shard_of(fingerprint)];
-  const PostingList* bucket = nullptr;
-  {
-    std::shared_lock lock(shard.mutex);
-    const auto it = shard.buckets.find(fingerprint);
-    if (it == shard.buckets.end()) return 0;
-    bucket = it->second.get();
-  }
-  std::size_t appended = 0;
-  bucket->for_each([&](std::uint32_t raw) {
-    out.push_back(util::InternedName(raw));
-    ++appended;
-    return true;
-  });
-  return appended;
-}
-
 std::size_t InterestIndex::collect_matches(
-    const std::function<bool(const InterestEntry&)>& accept, std::vector<SubscriberId>& out,
+    const std::function<bool(util::InternedName)>& accept, std::vector<SubscriberId>& out,
     FanoutScratch& scratch, std::size_t limit) const {
   util::EpochManager::Pin pin(epochs_);
   out.clear();
@@ -406,10 +307,9 @@ std::size_t InterestIndex::collect_matches(
   std::size_t first_word = std::numeric_limits<std::size_t>::max();
   std::size_t end_word = 0;
   for (const util::InternedName interest : scratch.interests) {
-    const Posting* posting = find_posting(interest);
-    if (posting == nullptr || posting->subscribers.live() == 0) continue;
-    if (!accept(InterestEntry{interest, posting->fingerprint})) continue;
-    posting->subscribers.for_each([&](std::uint32_t sub) {
+    const PostingList* posting = find_posting(interest);
+    if (posting == nullptr || posting->live() == 0 || !accept(interest)) continue;
+    posting->for_each([&](std::uint32_t sub) {
       const std::size_t word = sub / 64;
       if (word >= seen.size()) seen.resize(word + 1, 0);
       seen[word] |= std::uint64_t{1} << (sub % 64);
@@ -441,7 +341,7 @@ std::size_t InterestIndex::interest_count() const {
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mutex);
     for (const auto& [interest, posting] : shard.postings) {
-      if (posting->subscribers.live() > 0) ++count;
+      if (posting->live() > 0) ++count;
     }
   }
   return count;

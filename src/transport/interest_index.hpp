@@ -8,24 +8,22 @@
 // subscribers cannot afford to walk every peer. The index inverts the
 // relation once, for everyone:
 //
-//   interest id           -> posting list of SubscriberIds   (fan-out)
-//   structural fingerprint-> interest ids in that bucket     (implicit-
-//                            conformance/equivalence candidates)
-//   SubscriberId          -> declaration-ordered interest entries (the
-//                            receive-path scan Peer used to own)
+//   interest id  -> posting list of SubscriberIds        (fan-out)
+//   SubscriberId -> declaration-ordered interest ids     (the receive-path
+//                   scan Peer used to own)
 //
 // One instance is shared by every peer of a universe (AssemblyHub owns
 // the real transports' instance; the megasim scenario owns its own), so
 // the simulator and the real transports exercise ONE matching engine.
 //
 // Concurrency contract (the epoch invariant):
-//  * Mutations — add/remove_subscriber, add/remove_interest — take the
+//  * Mutations — add/remove_subscriber and add_interest — take the
 //    interest's shard lock (and the subscriber mutex) exclusively. They
 //    are append-mostly: posting lists grow in place; removal tombstones;
 //    compaction and copy-on-write snapshots RETIRE the superseded storage
 //    through a util::EpochManager instead of freeing it.
 //  * Snapshot reads — interests_of(), match_first(), collect_subscribers(),
-//    equivalence_candidates() — touch only atomically published immutable
+//    collect_matches() — touch only atomically published immutable
 //    snapshots (a directory of chunks with a published count, or a COW
 //    vector). Readers hold an EpochManager::Pin for as long as they use a
 //    snapshot; the three shipped transports already pin per message
@@ -66,14 +64,6 @@ namespace pti::transport {
 using SubscriberId = std::uint32_t;
 inline constexpr SubscriberId kNoSubscriber = 0xFFFFFFFFu;
 
-/// One registered interest of one subscriber: the interned qualified name
-/// of the interest type plus its structural fingerprint (the bucket key
-/// for implicit-conformance candidates).
-struct InterestEntry {
-  util::InternedName interest;
-  std::uint64_t fingerprint = 0;
-};
-
 class InterestIndex {
  public:
   /// `epochs` is the manager superseded storage retires through; the
@@ -93,24 +83,23 @@ class InterestIndex {
 
   // --- interest registration (append-mostly mutations) -----------------
 
-  /// Registers `interest` for `sub` (idempotent per pair). `fingerprint`
-  /// is the interest type's structural fingerprint.
-  void add_interest(SubscriberId sub, util::InternedName interest, std::uint64_t fingerprint);
-  /// Removes one interest of `sub`; returns whether it was registered.
-  bool remove_interest(SubscriberId sub, util::InternedName interest);
+  /// Registers `interest` (an interned qualified type name) for `sub`
+  /// (idempotent per pair).
+  void add_interest(SubscriberId sub, util::InternedName interest);
 
   // --- snapshot reads (hold an EpochManager::Pin across use) -----------
 
   /// Declaration-ordered interests of `sub`: an immutable snapshot, valid
   /// for the duration of the caller's Pin (nullptr when none registered).
-  [[nodiscard]] const std::vector<InterestEntry>* interests_of(SubscriberId sub) const noexcept;
+  [[nodiscard]] const std::vector<util::InternedName>* interests_of(
+      SubscriberId sub) const noexcept;
 
   /// The receive-path matching engine Peer and the megasim share: the
   /// first interest of `sub`, in declaration order, accepted by `accept`.
   /// Takes its own Pin, so the snapshot outlives concurrent unsubscribes
   /// for the duration of the scan.
-  [[nodiscard]] std::optional<InterestEntry> match_first(
-      SubscriberId sub, const std::function<bool(const InterestEntry&)>& accept) const;
+  [[nodiscard]] std::optional<util::InternedName> match_first(
+      SubscriberId sub, const std::function<bool(util::InternedName)>& accept) const;
 
   /// Appends the live subscribers of `interest` in subscription order;
   /// returns how many were appended. Weakly consistent under concurrent
@@ -121,13 +110,6 @@ class InterestIndex {
   /// Appends every interest id with at least one subscriber, sorted by id
   /// value (deterministic); returns how many were appended.
   std::size_t collect_interests(std::vector<util::InternedName>& out) const;
-
-  /// Appends the subscribed interests whose structural fingerprint equals
-  /// `fingerprint` — the implicit-conformance candidates structurally
-  /// identical to a pushed type. A candidate still needs the checker's
-  /// verdict (fingerprints are hashes: equal means "almost surely equal").
-  std::size_t equivalence_candidates(std::uint64_t fingerprint,
-                                     std::vector<util::InternedName>& out) const;
 
   /// Caller-owned scratch for collect_matches, reused across calls so a hot
   /// publisher loop allocates nothing once warm.
@@ -144,7 +126,7 @@ class InterestIndex {
   /// `out` — the whole union, sorted and deduplicated, at kWholeUnion. The
   /// union is marked in a bitmap over the dense subscriber ids, so a capped
   /// fan-out never sorts it. Returns |out|.
-  std::size_t collect_matches(const std::function<bool(const InterestEntry&)>& accept,
+  std::size_t collect_matches(const std::function<bool(util::InternedName)>& accept,
                               std::vector<SubscriberId>& out, FanoutScratch& scratch,
                               std::size_t limit = kWholeUnion) const;
 
@@ -221,46 +203,24 @@ class InterestIndex {
     std::uint32_t tombstones_ = 0;  ///< mutator-side only (under shard lock)
   };
 
-  // ---- inverted map + fingerprint buckets, sharded by interest id ------
-
-  struct Posting {
-    std::uint64_t fingerprint = 0;
-    PostingList subscribers;
-  };
+  // ---- inverted map, sharded by interest id ---------------------------
 
   static constexpr std::size_t kShardCount = 16;
   struct Shard {
     mutable std::shared_mutex mutex;
-    /// interest id -> posting. Append-only: a posting whose last
+    /// interest id -> subscribers. Append-only: a posting list whose last
     /// subscriber leaves stays (empty) so readers never hold a dangling
-    /// Posting*; churn re-adding the interest reuses it.
-    std::unordered_map<util::InternedName, std::unique_ptr<Posting>> postings;
-  };
-  struct BucketShard {
-    mutable std::shared_mutex mutex;
-    /// structural fingerprint -> interest ids currently subscribed.
-    std::unordered_map<std::uint64_t, std::unique_ptr<PostingList>> buckets;
+    /// PostingList*; churn re-adding the interest reuses it.
+    std::unordered_map<util::InternedName, std::unique_ptr<PostingList>> postings;
   };
 
   [[nodiscard]] static std::size_t shard_of(util::InternedName interest) noexcept {
     return (interest.value() * 0x9E3779B9u >> 16) & (kShardCount - 1);
   }
-  [[nodiscard]] static std::size_t bucket_shard_of(std::uint64_t fp) noexcept {
-    return static_cast<std::size_t>((fp ^ (fp >> 32)) & (kShardCount - 1));
-  }
 
-  /// Posting for `interest`, or nullptr. Shared shard lock for the map
+  /// Subscribers of `interest`, or nullptr. Shared shard lock for the map
   /// probe only; the returned pointer is stable (postings are append-only).
-  [[nodiscard]] const Posting* find_posting(util::InternedName interest) const;
-
-  /// Adds/removes `interest` to its fingerprint bucket. Called AFTER the
-  /// interest's posting shard lock has been released (all writers are
-  /// serialized by subscriber_mutex_, which orders bucket membership
-  /// transitions); takes the bucket shard lock inside. No shard mutex is
-  /// ever held while acquiring another — there is no lock nesting below
-  /// subscriber_mutex_.
-  void bucket_add(std::uint64_t fingerprint, util::InternedName interest);
-  void bucket_remove(std::uint64_t fingerprint, util::InternedName interest);
+  [[nodiscard]] const PostingList* find_posting(util::InternedName interest) const;
 
   // ---- subscriber slots (dense ids, chunked stable storage) ------------
 
@@ -269,7 +229,7 @@ class InterestIndex {
   struct SubscriberSlot {
     /// COW snapshot of the declaration-ordered interests; retired on
     /// every update. nullptr == no interests.
-    std::atomic<const std::vector<InterestEntry>*> interests{nullptr};
+    std::atomic<const std::vector<util::InternedName>*> interests{nullptr};
     std::atomic<bool> live{false};
   };
   struct SlotChunk {
@@ -280,7 +240,6 @@ class InterestIndex {
 
   util::EpochManager& epochs_;
   std::array<Shard, kShardCount> shards_;
-  std::array<BucketShard, kShardCount> bucket_shards_;
 
   mutable std::mutex subscriber_mutex_;
   std::array<std::atomic<SlotChunk*>, kMaxSlotChunks> slot_chunks_{};

@@ -150,13 +150,12 @@ util::InternedName Peer::add_interest(const TypeDescription& interest) {
   std::scoped_lock lock(interest_names_mutex_);
   {
     util::EpochManager::Pin pin(index.epochs());
-    if (const auto* entries = index.interests_of(sub_)) {
-      for (const auto& entry : *entries) {
-        if (entry.interest == id) return id;  // already declared
-      }
+    const auto* ids = index.interests_of(sub_);
+    if (ids != nullptr && std::find(ids->begin(), ids->end(), id) != ids->end()) {
+      return id;  // already declared
     }
   }
-  index.add_interest(sub_, id, interest.fingerprint());
+  index.add_interest(sub_, id);
   // Publish a fresh immutable name snapshot; readers holding the old one
   // keep a valid (if stale) view.
   auto names = std::make_shared<std::vector<std::string>>(*interest_names_);
@@ -175,13 +174,9 @@ std::shared_ptr<const std::vector<std::string>> Peer::interests() const {
 
 std::vector<util::InternedName> Peer::interest_ids() const {
   InterestIndex& index = hub_->interests();
-  std::vector<util::InternedName> out;
   util::EpochManager::Pin pin(index.epochs());
-  if (const auto* entries = index.interests_of(sub_)) {
-    out.reserve(entries->size());
-    for (const auto& entry : *entries) out.push_back(entry.interest);
-  }
-  return out;
+  const auto* ids = index.interests_of(sub_);
+  return ids != nullptr ? *ids : std::vector<util::InternedName>{};
 }
 
 std::size_t Peer::delivered_count() const {
@@ -772,8 +767,8 @@ Peer::Verdict Peer::decide(const std::string& sender, const std::vector<TypeInfo
     // fetching, hence slow — and the first match wins.
     const TypeDescription* pushed = domain_.registry().find(types.front().type_name);
     bool undecided = false;
-    const auto accept = [&](const InterestEntry& entry) {
-      const TypeDescription* interest = domain_.registry().find_by_id(entry.interest);
+    const auto accept = [&](util::InternedName interest_id) {
+      const TypeDescription* interest = domain_.registry().find_by_id(interest_id);
       if (interest == nullptr) return false;
       const CheckResult result = check_with_fetch(*pushed, *interest, sender);
       if (result.needs_more_types()) undecided = true;
@@ -796,9 +791,8 @@ Peer::Verdict Peer::decide(const std::string& sender, const std::vector<TypeInfo
     if (session != nullptr) verdict.wire_types = session->wire_types;
     if (const auto match = hub_->interests().match_first(sub_, accept)) {
       verdict.conformant = true;
-      verdict.matched_interest =
-          domain_.registry().find_by_id(match->interest)->qualified_name();
-      verdict.matched_id = match->interest;
+      verdict.matched_interest = domain_.registry().find_by_id(*match)->qualified_name();
+      verdict.matched_id = *match;
     } else {
       verdict.detail = "no interest conforms to '" + types.front().type_name + "'";
       // An undecided rejection (the sender could not supply every

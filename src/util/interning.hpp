@@ -49,10 +49,6 @@
 #include "util/hash.hpp"
 #include "util/string_util.hpp"
 
-namespace pti::transport {
-class InterestIndex;
-}
-
 namespace pti::util {
 
 class EpochManager;
@@ -84,9 +80,6 @@ class InternedName {
 
  private:
   friend class SymbolTable;
-  // InterestIndex stores raw id values in its fingerprint-bucket posting
-  // lists and must re-mint them when handing candidates back out.
-  friend class pti::transport::InterestIndex;
   static constexpr std::uint32_t kInvalid = 0xFFFFFFFFu;
   explicit constexpr InternedName(std::uint32_t id) noexcept : id_(id) {}
 

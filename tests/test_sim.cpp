@@ -1,13 +1,16 @@
 // Megasim determinism and shared-index semantics (ISSUE 8 tentpole).
 //
-// Three layers under test:
+// Four layers under test:
 //
 //   EventLoop        (time, seq)-ordered firing, clock coupling, clamping.
 //   InterestIndex    declaration-order matching, idempotent registration,
-//                    LIFO id reuse, tombstone compaction, fingerprint
-//                    buckets, sorted-union fan-out — plus a churn test
-//                    that TSan watches: concurrent subscribe/unsubscribe
-//                    against pinned snapshot readers.
+//                    LIFO id reuse, tombstone compaction, sorted-union
+//                    fan-out — plus a churn test that TSan watches:
+//                    concurrent subscribe/unsubscribe against pinned
+//                    snapshot readers.
+//   LightweightPeer  the session answers no scenario produces, against a
+//                    scripted endpoint: one replay per Reset, a failing
+//                    batch entry answered alone, a Reset's known hashes.
 //   Scenario         the determinism contract: same seed => byte-identical
 //                    trace/accept/stats digests, invariant under host
 //                    thread count; eager and optimistic modes agree on
@@ -25,13 +28,21 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "sim/event_loop.hpp"
+#include "sim/lightweight_peer.hpp"
 #include "sim/scenario.hpp"
+#include "sim/type_universe.hpp"
+#include "transport/assembly_hub.hpp"
 #include "transport/interest_index.hpp"
+#include "transport/message.hpp"
+#include "transport/sim_network.hpp"
 #include "transport/transport_error.hpp"
 #include "util/epoch.hpp"
 #include "util/interning.hpp"
@@ -41,12 +52,18 @@ namespace pti {
 namespace {
 
 using sim::EventLoop;
+using sim::LightweightPeer;
 using sim::Scenario;
 using sim::ScenarioConfig;
 using sim::ScenarioResult;
 using sim::ScenarioScript;
-using transport::InterestEntry;
 using transport::InterestIndex;
+using transport::Message;
+using transport::SessionAck;
+using transport::SessionBatch;
+using transport::SessionBatchAck;
+using transport::SessionPush;
+using transport::SessionStatus;
 using transport::SubscriberId;
 using util::InternedName;
 
@@ -104,44 +121,37 @@ TEST(InterestIndexTest, MatchFirstHonorsDeclarationOrder) {
   const InternedName a = intern("simidx.order.A");
   const InternedName b = intern("simidx.order.B");
   const InternedName c = intern("simidx.order.C");
-  index.add_interest(sub, b, 2);
-  index.add_interest(sub, a, 1);
-  index.add_interest(sub, c, 3);
+  index.add_interest(sub, b);
+  index.add_interest(sub, a);
+  index.add_interest(sub, c);
 
   // Everything matches: the FIRST DECLARED interest wins, not the lowest id.
-  const auto any = index.match_first(sub, [](const InterestEntry&) { return true; });
+  const auto any = index.match_first(sub, [](InternedName) { return true; });
   ASSERT_TRUE(any.has_value());
-  EXPECT_EQ(any->interest, b);
-  EXPECT_EQ(any->fingerprint, 2u);
+  EXPECT_EQ(*any, b);
 
   // A selective acceptor sees candidates in declaration order too.
   std::vector<InternedName> seen;
-  const auto last = index.match_first(sub, [&](const InterestEntry& e) {
-    seen.push_back(e.interest);
-    return e.interest == c;
+  const auto last = index.match_first(sub, [&](InternedName interest) {
+    seen.push_back(interest);
+    return interest == c;
   });
   ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->interest, c);
+  EXPECT_EQ(*last, c);
   EXPECT_EQ(seen, (std::vector<InternedName>{b, a, c}));
 }
 
-TEST(InterestIndexTest, RegistrationIsIdempotentAndRemovable) {
+TEST(InterestIndexTest, RegistrationIsIdempotent) {
   InterestIndex index;
   const SubscriberId sub = index.add_subscriber();
   const InternedName a = intern("simidx.idem.A");
-  index.add_interest(sub, a, 7);
-  index.add_interest(sub, a, 7);  // duplicate pair: no-op
+  index.add_interest(sub, a);
+  index.add_interest(sub, a);  // duplicate pair: no-op
   EXPECT_EQ(index.entry_count(), 1u);
   EXPECT_EQ(index.interest_count(), 1u);
 
-  index.remove_interest(sub, a);
-  EXPECT_EQ(index.entry_count(), 0u);
-  EXPECT_EQ(index.interest_count(), 0u);
-  std::vector<SubscriberId> subs;
-  EXPECT_EQ(index.collect_subscribers(a, subs), 0u);
-
-  EXPECT_THROW(index.add_interest(sub, InternedName(), 0), transport::TransportError);
-  EXPECT_THROW(index.add_interest(sub + 100, a, 7), transport::TransportError);
+  EXPECT_THROW(index.add_interest(sub, InternedName()), transport::TransportError);
+  EXPECT_THROW(index.add_interest(sub + 100, a), transport::TransportError);
 }
 
 TEST(InterestIndexTest, SubscriberIdsAreDenseAndReusedLifo) {
@@ -168,7 +178,7 @@ TEST(InterestIndexTest, PostingListsSurviveTombstoneCompaction) {
   std::vector<SubscriberId> subs;
   for (int i = 0; i < 400; ++i) {
     const SubscriberId sub = index.add_subscriber();
-    index.add_interest(sub, hot, 11);
+    index.add_interest(sub, hot);
     subs.push_back(sub);
   }
   // Remove enough for erase() to trip compaction (tombstones > live).
@@ -181,29 +191,6 @@ TEST(InterestIndexTest, PostingListsSurviveTombstoneCompaction) {
   index.epochs().try_reclaim();
 }
 
-TEST(InterestIndexTest, EquivalenceCandidatesGroupByFingerprint) {
-  InterestIndex index;
-  const SubscriberId sub = index.add_subscriber();
-  const InternedName a = intern("simidx.fp.A");
-  const InternedName b = intern("simidx.fp.B");
-  const InternedName c = intern("simidx.fp.C");
-  index.add_interest(sub, a, 0xAAAA);
-  index.add_interest(sub, b, 0xAAAA);  // same structure, different name
-  index.add_interest(sub, c, 0xCCCC);
-
-  std::vector<InternedName> candidates;
-  ASSERT_EQ(index.equivalence_candidates(0xAAAA, candidates), 2u);
-  EXPECT_EQ(candidates, (std::vector<InternedName>{a, b}));
-  candidates.clear();
-  EXPECT_EQ(index.equivalence_candidates(0xBBBB, candidates), 0u);
-
-  // The bucket empties when its last interest goes.
-  index.remove_interest(sub, a);
-  index.remove_interest(sub, b);
-  candidates.clear();
-  EXPECT_EQ(index.equivalence_candidates(0xAAAA, candidates), 0u);
-}
-
 TEST(InterestIndexTest, CollectMatchesReturnsSortedUnion) {
   InterestIndex index;
   const InternedName x = intern("simidx.union.X");
@@ -211,21 +198,20 @@ TEST(InterestIndexTest, CollectMatchesReturnsSortedUnion) {
   const SubscriberId s0 = index.add_subscriber();
   const SubscriberId s1 = index.add_subscriber();
   const SubscriberId s2 = index.add_subscriber();
-  index.add_interest(s2, x, 1);
-  index.add_interest(s0, x, 1);
-  index.add_interest(s0, y, 2);
-  index.add_interest(s1, y, 2);
+  index.add_interest(s2, x);
+  index.add_interest(s0, x);
+  index.add_interest(s0, y);
+  index.add_interest(s1, y);
 
   std::vector<SubscriberId> out;
   InterestIndex::FanoutScratch scratch;
   // Accept both interests: s0 subscribes to both but appears once.
-  ASSERT_EQ(index.collect_matches([](const InterestEntry&) { return true; }, out, scratch),
-            3u);
+  ASSERT_EQ(index.collect_matches([](InternedName) { return true; }, out, scratch), 3u);
   EXPECT_EQ(out, (std::vector<SubscriberId>{s0, s1, s2}));
 
   out.clear();
   ASSERT_EQ(index.collect_matches(
-                [&](const InterestEntry& e) { return e.interest == y; }, out, scratch),
+                [&](InternedName interest) { return interest == y; }, out, scratch),
             2u);
   EXPECT_EQ(out, (std::vector<SubscriberId>{s0, s1}));
 
@@ -241,13 +227,11 @@ TEST(InterestIndexTest, CollectMatchesReturnsSortedUnion) {
   // Posting lists in scrambled insertion order, overlapping: the even ids
   // below 100 appear under both A and B, so duplicates straddle every
   // small cut; ids run to 299, across five bitmap words; C is rejected.
-  for (int i = 99; i >= 0; --i) index.add_interest(subs[i], a, 1);
-  for (int i = 0; i < 150; i += 2) index.add_interest(subs[i], b, 1);
-  for (int i = 299; i >= 130; i -= 3) index.add_interest(subs[i], b, 1);
-  for (int i = 0; i < 300; ++i) index.add_interest(subs[i], c, 2);
-  const auto accept = [&](const InterestEntry& e) {
-    return e.interest == a || e.interest == b;
-  };
+  for (int i = 99; i >= 0; --i) index.add_interest(subs[i], a);
+  for (int i = 0; i < 150; i += 2) index.add_interest(subs[i], b);
+  for (int i = 299; i >= 130; i -= 3) index.add_interest(subs[i], b);
+  for (int i = 0; i < 300; ++i) index.add_interest(subs[i], c);
+  const auto accept = [&](InternedName interest) { return interest == a || interest == b; };
 
   // Reference: the posting lists of A and B, sorted and deduplicated.
   std::vector<SubscriberId> full;
@@ -283,8 +267,7 @@ TEST(InterestIndexTest, CollectMatchesReturnsSortedUnion) {
   }
 
   // The scratch bitmap is left clear: an empty selection finds nothing.
-  EXPECT_EQ(index.collect_matches([](const InterestEntry&) { return false; }, out, scratch),
-            0u);
+  EXPECT_EQ(index.collect_matches([](InternedName) { return false; }, out, scratch), 0u);
 }
 
 // The TSan target: writers churn subscriptions on a shared index while
@@ -307,12 +290,7 @@ TEST(InterestIndexTest, ConcurrentChurnWithPinnedReaders) {
       for (int round = 0; round < 400; ++round) {
         const SubscriberId sub = index.add_subscriber();
         for (int i = 0; i < kInterests; ++i) {
-          if (rng.next_bool(0.5)) {
-            index.add_interest(sub, names[i], static_cast<std::uint64_t>(i));
-          }
-        }
-        if (rng.next_bool(0.3)) {
-          index.remove_interest(sub, names[rng.next_below(kInterests)]);
+          if (rng.next_bool(0.5)) index.add_interest(sub, names[i]);
         }
         index.remove_subscriber(sub);
       }
@@ -332,13 +310,14 @@ TEST(InterestIndexTest, ConcurrentChurnWithPinnedReaders) {
         index.collect_interests(interests);
         for (const SubscriberId sub : subs) {
           if (const auto* held = index.interests_of(sub)) {
-            for (const InterestEntry& e : *held) ASSERT_TRUE(e.interest.valid());
+            for (const InternedName interest : *held) ASSERT_TRUE(interest.valid());
           }
         }
         // The capped fan-out walks the same snapshots as it marks its bitmap.
-        const auto parity = static_cast<std::uint64_t>((round + r) % 2);
-        const auto same_parity = [&](const InterestEntry& e) {
-          return e.fingerprint % 2 == parity;
+        const auto parity = (round + r) % 2;
+        const auto same_parity = [&](InternedName interest) {
+          return (std::find(names.begin(), names.end(), interest) - names.begin()) % 2 ==
+                 parity;
         };
         index.collect_matches(same_parity, fanout, scratch, 16);
         ASSERT_LE(fanout.size(), 16u);
@@ -355,6 +334,174 @@ TEST(InterestIndexTest, ConcurrentChurnWithPinnedReaders) {
   EXPECT_EQ(index.subscriber_count(), 0u);
   EXPECT_EQ(index.entry_count(), 0u);
   index.epochs().try_reclaim();
+}
+
+// --- LightweightPeer session paths ------------------------------------------
+//
+// The sender cases push to a target that never joined: a scripted endpoint
+// attached under the target's name answers for it and sees every exchange.
+// The receiver cases send frames straight into a joined peer from a sender
+// name with no endpoint, so any nested fetch the receiver makes fails.
+
+struct SessionRig {
+  transport::SimNetwork net;
+  transport::AssemblyHub hub;
+  sim::TypeUniverse universe{sim::TypeUniverseConfig{5, 8, 4}, hub};
+
+  [[nodiscard]] std::unique_ptr<LightweightPeer> peer(std::uint32_t index) {
+    return std::make_unique<LightweightPeer>(index, net, universe, hub,
+                                             transport::ProtocolMode::Optimistic, true);
+  }
+  /// A kind-9 push of `family` under `token` that introduces `introduced`.
+  [[nodiscard]] SessionPush push(std::uint64_t token, std::uint32_t family,
+                                 const std::vector<std::uint32_t>& introduced) const {
+    SessionPush push;
+    push.token = token;
+    push.wire_types = {family + 1};
+    push.encoding = universe.payload_encoding();
+    push.payload = universe.payload_bytes(family);
+    for (const std::uint32_t f : introduced) {
+      transport::SessionIntro intro;
+      intro.wire_id = f + 1;
+      intro.type_name = universe.publisher_type_name(f);
+      intro.description_xml = universe.description_xml(f);
+      intro.assembly_name = universe.assembly_name(f);
+      push.intros.push_back(std::move(intro));
+    }
+    return push;
+  }
+};
+
+Message ack_reply(const Message& request, SessionAck ack) {
+  return Message{request.recipient, request.sender, std::move(ack)};
+}
+
+TEST(LightweightPeerSession, ResetGetsOneReplayThatCarriesTheIntro) {
+  SessionRig rig;
+  const auto sender = rig.peer(0);
+  const auto target = rig.peer(1);  // never joins: the script answers for it
+  const std::uint32_t family = 2;
+  const std::uint32_t matched = 5;  // the sender must read this from the ack
+  std::vector<SessionPush> seen;
+  bool reset_next = false;
+  rig.net.attach(target->name(), [&](const Message& request) {
+    seen.push_back(std::get<SessionPush>(request.payload));
+    if (std::exchange(reset_next, false)) {
+      return ack_reply(request, {SessionStatus::Reset, false, "session state lost", {}});
+    }
+    return ack_reply(request,
+                     {SessionStatus::Ok, true, rig.universe.interest_type_name(matched), {}});
+  });
+
+  // First contact: the intro rides along, and the Ok ack commits it.
+  ASSERT_TRUE(sender->publish_to(*target, family).delivered);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].intros.size(), 1u);
+
+  seen.clear();
+  reset_next = true;
+  const LightweightPeer::PushOutcome outcome = sender->publish_to(*target, family);
+  ASSERT_EQ(seen.size(), 2u);  // the push and its one replay
+  EXPECT_TRUE(seen[0].intros.empty());
+  ASSERT_EQ(seen[1].intros.size(), 1u);
+  EXPECT_EQ(seen[1].intros[0].wire_id, family + 1);
+  EXPECT_TRUE(outcome.delivered);
+  EXPECT_FALSE(outcome.dropped);
+  EXPECT_EQ(outcome.matched, matched);
+}
+
+TEST(LightweightPeerSession, BatchResetSlotGetsExactlyOneReplay) {
+  SessionRig rig;
+  const auto sender = rig.peer(0);
+  const auto target = rig.peer(1);
+  int exchanges = 0;
+  rig.net.attach(target->name(), [&](const Message& request) {
+    ++exchanges;
+    if (std::holds_alternative<SessionBatch>(request.payload)) {
+      SessionBatchAck back;
+      const std::string matched = rig.universe.interest_type_name(0);
+      back.entries.push_back({SessionStatus::Ok, true, matched, {}});
+      back.entries.push_back({SessionStatus::Reset, false, "session state lost", {}});
+      back.entries.push_back({SessionStatus::Ok, false, "no interest conforms", {}});
+      return Message{request.recipient, request.sender, std::move(back)};
+    }
+    // The middle slot's replay is Reset again.
+    return ack_reply(request, {SessionStatus::Reset, false, "session state lost", {}});
+  });
+
+  std::vector<LightweightPeer::PushOutcome> out;
+  sender->publish_batch_to(*target, {0, 1, 2}, out);
+  EXPECT_EQ(exchanges, 2);  // the frame, then one replay of slot 1
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_TRUE(out[0].delivered);
+  EXPECT_EQ(out[0].matched, 0u);
+  EXPECT_TRUE(out[1].dropped);
+  EXPECT_FALSE(out[2].delivered);
+  EXPECT_FALSE(out[2].dropped);
+}
+
+TEST(LightweightPeerSession, FailingBatchEntryAnswersOnlyItsOwnSlot) {
+  SessionRig rig;
+  std::vector<std::uint32_t> conformant;  // families that conform to their own interest
+  for (std::uint32_t f = 0; f < rig.universe.type_count(); ++f) {
+    if (rig.universe.conforms(f, f)) conformant.push_back(f);
+  }
+  ASSERT_GE(conformant.size(), 2u);
+  const std::uint32_t fetched = conformant[0];
+  const std::uint32_t prepaid = conformant[1];
+  const auto receiver = rig.peer(1);
+  receiver->set_interests({fetched, prepaid});
+  receiver->join();
+  const auto conforms = [&](std::uint32_t f) {
+    return rig.universe.conforms(f, fetched) || rig.universe.conforms(f, prepaid);
+  };
+  std::uint32_t rejected = 0;
+  while (conforms(rejected)) ++rejected;
+  ASSERT_LT(rejected, rig.universe.type_count());
+
+  SessionBatch batch;
+  batch.entries.push_back(rig.push(7, rejected, {rejected}));
+  // Accepted but not loaded: the code fetch goes back to a sender with no
+  // endpoint and fails.
+  batch.entries.push_back(rig.push(7, fetched, {fetched}));
+  batch.entries.push_back(rig.push(7, prepaid, {prepaid}));
+  batch.entries.back().intro_assembly_names.push_back(rig.universe.assembly_name(prepaid));
+
+  const Message reply = rig.net.send(Message{"ghost", receiver->name(), std::move(batch)});
+  ASSERT_TRUE(std::holds_alternative<SessionBatchAck>(reply.payload));
+  const std::vector<SessionAck>& slots = std::get<SessionBatchAck>(reply.payload).entries;
+  ASSERT_EQ(slots.size(), 3u);
+  EXPECT_EQ(slots[0].status, SessionStatus::Ok);
+  EXPECT_FALSE(slots[0].delivered);
+  EXPECT_EQ(slots[1].status, SessionStatus::Error);
+  EXPECT_FALSE(slots[1].delivered);
+  EXPECT_EQ(slots[2].status, SessionStatus::Ok);
+  EXPECT_TRUE(slots[2].delivered);
+  // The first interest in declaration order that `prepaid` conforms to.
+  const std::uint32_t matched = rig.universe.conforms(prepaid, fetched) ? fetched : prepaid;
+  EXPECT_EQ(slots[2].detail, rig.universe.interest_type_name(matched));
+}
+
+TEST(LightweightPeerSession, UnknownWireIdResetCarriesKnownDescriptionHashes) {
+  SessionRig rig;
+  const auto receiver = rig.peer(1);
+  receiver->join();  // no interests: every verdict is a reject, no fetch
+
+  // Token 7 introduces families 1 and 3; their descriptions crossed.
+  const Message first =
+      rig.net.send(Message{"ghost", receiver->name(), rig.push(7, 3, {3, 1})});
+  ASSERT_TRUE(std::holds_alternative<SessionAck>(first.payload));
+  EXPECT_EQ(std::get<SessionAck>(first.payload).status, SessionStatus::Ok);
+
+  // Token 8 introduced nothing, so its wire id is unknown.
+  const Message second = rig.net.send(Message{"ghost", receiver->name(), rig.push(8, 3, {})});
+  ASSERT_TRUE(std::holds_alternative<SessionAck>(second.payload));
+  const auto& reset = std::get<SessionAck>(second.payload);
+  EXPECT_EQ(reset.status, SessionStatus::Reset);
+  EXPECT_FALSE(reset.delivered);
+  EXPECT_EQ(reset.known_desc_hashes, (std::vector<std::uint64_t>{
+                                         rig.universe.description_hash(1),
+                                         rig.universe.description_hash(3)}));
 }
 
 // --- Scenario determinism ----------------------------------------------------
@@ -532,6 +679,25 @@ TEST(ScenarioGolden, FixedSeedDigestsArePinned) {
   EXPECT_EQ(batched.stats.net_bytes, 6838328u);
   EXPECT_EQ(batched.stats.session_batch_frames, 7136u);
   EXPECT_EQ(batched.stats.session_batch_entries, 9000u);
+
+  // Unbatched sessions: every delivery is one kind-9 SessionPush.
+  config.session_batch = 1;
+  const ScenarioResult unbatched = sim::run_scenario(config, script);
+  EXPECT_EQ(unbatched.trace_digest, 0x84d3444a0de2478fULL);
+  EXPECT_EQ(unbatched.accept_digest, 0xbb0a59d715db786bULL);
+  EXPECT_EQ(unbatched.stats_digest, 0x9dc52ffbcf9dab3dULL);
+  EXPECT_EQ(unbatched.stats.net_bytes, 6981780u);
+  EXPECT_EQ(unbatched.stats.session_batch_frames, 0u);
+
+  // Eager batched sessions: intros prepay their assemblies.
+  config.mode = transport::ProtocolMode::Eager;
+  config.session_batch = 4;
+  const ScenarioResult eager = sim::run_scenario(config, script);
+  EXPECT_EQ(eager.trace_digest, 0x3c2f471e140578afULL);
+  EXPECT_EQ(eager.accept_digest, 0xbb0a59d715db786bULL);
+  EXPECT_EQ(eager.stats_digest, 0xa275a23b357583b1ULL);
+  EXPECT_EQ(eager.stats.net_bytes, 13949540u);
+  EXPECT_EQ(eager.stats.code_requests, 0u);
 }
 
 TEST(ScenarioEquivalence, SessionModeAgreesWhileWireCostCollapses) {

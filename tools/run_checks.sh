@@ -119,7 +119,8 @@ stage 90 "megasim scale smoke (10^4 peers, deterministic)" scale_smoke
 # differs most from the sanitizer builds above. Runs the differential
 # session suite plus every session-tagged equivalence sweep (the matcher
 # modes over every push shape, fixed-seed fuzz, sockets-vs-simulator,
-# megasim digests).
+# megasim digests, the megasim byte pins and LightweightPeer's Reset and
+# Error paths).
 session_equivalence() {
   cmake --preset release > /dev/null && \
     cmake --build --preset release "${BUILD_JOBS[@]}" \
@@ -128,7 +129,7 @@ session_equivalence() {
     build-bench/test_transport --gtest_filter='*MatcherMode*' && \
     build-bench/test_protocol_fuzz --gtest_filter='ProtocolFuzz.SessionModeAgreesWithColdProtocol:ProtocolFuzz.BatchedSessionAgreesWithColdProtocol' && \
     build-bench/test_socket_transport --gtest_filter='SocketTransportEquivalence.Session*' && \
-    build-bench/test_sim --gtest_filter='ScenarioEquivalence.SessionModeAgreesWhileWireCostCollapses:ScenarioEquivalence.BatchedSessionsReproduceTheVerdictStream:ScenarioEquivalence.SharedIntrosBeatColdOnAColdHeavyStorm'
+    build-bench/test_sim --gtest_filter='ScenarioEquivalence.SessionModeAgreesWhileWireCostCollapses:ScenarioEquivalence.BatchedSessionsReproduceTheVerdictStream:ScenarioEquivalence.SharedIntrosBeatColdOnAColdHeavyStorm:ScenarioEquivalence.InvertedIndexAndPerPeerScanProduceIdenticalRuns:ScenarioGolden.*:LightweightPeerSession.*'
 }
 stage 95 "session equivalence gate (Release differential suite)" session_equivalence
 
