@@ -12,12 +12,14 @@
 //   6       4     body length in bytes, little-endian u32
 //   10      len   body
 //
-//   body := sender string, recipient string, then the variant's fields in
-//   declaration order, encoded with util::ByteWriter primitives (LEB128
-//   varints, length-prefixed strings/bytes) — the same primitives as the
-//   binary object serializer, so the whole frame shares one encoding
-//   idiom. ObjectPush/InvokeRequest bodies embed the already-serialized
-//   serial::Envelope bytes verbatim.
+//   body := sender string, recipient string, then the variant's field
+//   list, encoded with util::ByteWriter primitives (LEB128 varints,
+//   length-prefixed strings/bytes) — the same primitives as the binary
+//   object serializer, so the whole frame shares one encoding idiom. Each
+//   variant (and SessionIntro) has one field list in wire order, which
+//   encode() and decode_body() both walk, so the two directions of a
+//   layout cannot drift apart. ObjectPush/InvokeRequest bodies embed the
+//   already-serialized serial::Envelope bytes verbatim.
 //
 // Versioning rules: the magic never changes; a decoder accepts exactly the
 // versions it speaks (currently only kVersion) and rejects everything else
@@ -32,7 +34,7 @@
 // serial::FrameError with a classified FrameFault. No crash, no partial
 // message, no unbounded allocation (body length is capped by FrameLimits
 // before any body byte is touched, and list counts cannot allocate beyond
-// the bytes actually present).
+// the bytes actually present or the frame-wide element budget).
 #pragma once
 
 #include <array>
@@ -45,15 +47,18 @@
 
 namespace pti::serial {
 
-/// Decode-side resource caps. The defaults admit every frame the protocol
-/// produces today with room to spare; transports facing hostile peers can
-/// tighten them per codec instance.
+/// Resource caps, enforced by decode and by encode alike. The defaults
+/// admit every frame the protocol produces today with room to spare (a
+/// session window holds a few list elements per entry); transports facing
+/// hostile peers can tighten them per codec instance.
 struct FrameLimits {
   /// Max body length a header may declare (and encode() may produce).
   std::size_t max_body_bytes = 64u * 1024u * 1024u;  // 64 MiB
-  /// Max elements a single encoded list may declare. Bounds the decode's
-  /// per-element object overhead (a sea of empty strings amplifies ~32x
-  /// over its wire bytes), not just its raw byte budget.
+  /// Max list elements in one frame, summed over all its lists, nested
+  /// ones included (a batch's entries and each entry's intros). Bounds the
+  /// decode's per-element object overhead (a sea of empty strings
+  /// amplifies ~32x over its wire bytes), not just its raw byte budget; a
+  /// per-list cap would multiply through the nesting.
   std::size_t max_list_elements = 65536;
 };
 
@@ -76,8 +81,9 @@ class FrameCodec {
 
   /// Serializes `message` into one complete frame (header + body).
   /// Throws FrameError{Oversized} when the body exceeds max_body_bytes or
-  /// a list exceeds max_list_elements — the same caps the decoder
-  /// enforces, so anything encode() accepts every conforming peer decodes.
+  /// the frame's lists hold more than max_list_elements in total — the
+  /// same caps the decoder enforces, so anything encode() accepts every
+  /// conforming peer decodes.
   [[nodiscard]] std::vector<std::uint8_t> encode(const transport::Message& message) const;
 
   /// Decodes exactly one complete frame. Throws FrameError on any

@@ -1,10 +1,14 @@
 #include "transport/peer_quota.hpp"
 
 #include <algorithm>
+#include <span>
+#include <string_view>
+#include <unordered_set>
 #include <variant>
 
 #include "util/error.hpp"
 #include "util/interning.hpp"
+#include "util/string_util.hpp"
 
 namespace pti::transport {
 
@@ -152,37 +156,31 @@ std::size_t PeerQuotaTable::tracked_peers() const {
 }
 
 std::size_t count_new_names(const Message& message) {
-  const util::SymbolTable& names = util::SymbolTable::global();
-  if (const auto* info = std::get_if<TypeInfoRequest>(&message.payload)) {
-    std::size_t fresh = 0;
-    for (const std::string& name : info->type_names) {
-      if (!names.find(name).valid()) ++fresh;
-    }
-    return fresh;
-  }
   // Session pushes introduce type names inline instead of via a nested
-  // TypeInfoRequest — the same distinct-name budget is charged here, at
-  // the transport seam, before the handler can register anything.
-  if (const auto* push = std::get_if<SessionPush>(&message.payload)) {
-    std::size_t fresh = 0;
-    for (const SessionIntro& intro : push->intros) {
-      if (!names.find(intro.type_name).valid()) ++fresh;
-    }
-    return fresh;
+  // TypeInfoRequest. A batch is charged for all its entries up front: the
+  // whole frame is admitted or refused before any entry's handler runs,
+  // so a hostile batch cannot smuggle names past the budget one entry at
+  // a time.
+  std::span<const std::string> requested;
+  std::span<const SessionPush> pushes;
+  if (const auto* info = std::get_if<TypeInfoRequest>(&message.payload)) {
+    requested = info->type_names;
+  } else if (const auto* push = std::get_if<SessionPush>(&message.payload)) {
+    pushes = {push, 1};
+  } else if (const auto* batch = std::get_if<SessionBatch>(&message.payload)) {
+    pushes = batch->entries;
   }
-  // A batch charges the sum of its entries up front — the whole frame is
-  // admitted or refused before any entry's handler runs, so a hostile
-  // batch cannot smuggle names past the budget one entry at a time.
-  if (const auto* batch = std::get_if<SessionBatch>(&message.payload)) {
-    std::size_t fresh = 0;
-    for (const SessionPush& entry : batch->entries) {
-      for (const SessionIntro& intro : entry.intros) {
-        if (!names.find(intro.type_name).valid()) ++fresh;
-      }
-    }
-    return fresh;
+  // Each name counts once, folded as SymbolTable folds it.
+  const util::SymbolTable& names = util::SymbolTable::global();
+  std::unordered_set<std::string_view, util::ICaseHash, util::ICaseEqual> fresh;
+  const auto note = [&](std::string_view name) {
+    if (!names.find(name).valid()) fresh.insert(name);
+  };
+  for (const std::string& name : requested) note(name);
+  for (const SessionPush& push : pushes) {
+    for (const SessionIntro& intro : push.intros) note(intro.type_name);
   }
-  return 0;
+  return fresh.size();
 }
 
 }  // namespace pti::transport

@@ -16,8 +16,9 @@
 //   acquire_inflight()   RAII-guarded concurrent-exchange slot.
 //   charge_new_names()   cumulative distinct-name budget, charged by the
 //                        layer that interns on a peer's behalf (the
-//                        transports for TypeInfoRequest name lists, Peer::
-//                        fetch_descriptions at the registry boundary).
+//                        transports for TypeInfoRequest name lists and
+//                        session intro names, Peer::fetch_descriptions at
+//                        the registry boundary).
 //
 // Every violation throws pti::ResourceExhaustedError (classified
 // core::ErrorCode::ResourceExhausted); in-process transports let it
@@ -184,9 +185,11 @@ class PeerQuotaTable {
 };
 
 /// Distinct type names in `message` that are not currently interned — the
-/// amount charge_new_names() would need to cover before handling it. Only
-/// TypeInfoRequest carries caller-controlled name lists that the serving
-/// side interns on the requester's behalf.
+/// amount charge_new_names() would need to cover before handling it. The
+/// caller-controlled names the serving side interns on the sender's behalf
+/// are a TypeInfoRequest's name list and the intro names of a SessionPush
+/// or of every SessionBatch entry; each counts once per message however
+/// often it repeats, compared case-insensitively as SymbolTable folds it.
 [[nodiscard]] std::size_t count_new_names(const Message& message);
 
 }  // namespace pti::transport

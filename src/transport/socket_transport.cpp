@@ -126,6 +126,29 @@ ReadStatus read_exact(int fd, std::uint8_t* buffer, std::size_t n,
   return true;
 }
 
+/// Reads one whole frame into `out`: the header, then its declared body.
+/// Every received byte is counted before decoding, partial reads
+/// included: it moved over the wire whether or not it parses, and a
+/// hostile stream must not undercount. Eof is a clean close before the
+/// first header byte; Error is any other cut. A malformed frame throws
+/// serial::FrameError.
+[[nodiscard]] ReadStatus read_frame(int fd, const serial::FrameCodec& codec,
+                                    SocketStats& stats, Message& out) {
+  std::array<std::uint8_t, serial::FrameCodec::kHeaderSize> header_bytes{};
+  std::size_t got = 0;
+  const ReadStatus status = read_exact(fd, header_bytes.data(), header_bytes.size(), &got);
+  stats.wire_bytes_received += got;
+  if (status != ReadStatus::Ok) return status;
+  const serial::FrameCodec::Header header = codec.decode_header(header_bytes);
+  std::vector<std::uint8_t> body;
+  const bool body_ok = read_body_bytes(fd, body, header.body_bytes, got);
+  stats.wire_bytes_received += got;
+  if (!body_ok) return ReadStatus::Error;
+  ++stats.frames_received;
+  out = codec.decode_body(header, body);
+  return ReadStatus::Ok;
+}
+
 /// Writes all n bytes; MSG_NOSIGNAL keeps a closed peer from raising
 /// SIGPIPE (the failure surfaces as an error return instead).
 [[nodiscard]] bool write_all(int fd, const std::uint8_t* buffer, std::size_t n) noexcept {
@@ -396,44 +419,32 @@ Message SocketTransport::exchange_over_wire(const Message& request,
     ++socket_stats_.frames_sent;
     socket_stats_.wire_bytes_sent += frame.size();
 
-    std::array<std::uint8_t, serial::FrameCodec::kHeaderSize> header_bytes{};
-    std::size_t header_got = 0;
-    const ReadStatus header_status =
-        read_exact(fd, header_bytes.data(), header_bytes.size(), &header_got);
-    // Received bytes are counted before decoding (and before the failure
-    // paths): they moved over the wire whether or not they parse.
-    socket_stats_.wire_bytes_received += header_got;
-    if (header_status != ReadStatus::Ok) {
-      // Retry only a *clean* zero-byte close (Eof): every deliberate
-      // server close after reading a request first writes at least a
-      // fault frame, so a clean FIN with no response bytes proves the
-      // request was never served. An abort (ECONNRESET and friends) gives
-      // no such proof — the server may have died mid-handler — so it is
-      // reported, never retried.
-      if (pooled && header_status == ReadStatus::Eof) continue;
-      throw NetworkError("connection closed before a response to " +
-                         std::string(request.kind_name()) +
-                         " arrived (response dropped?)");
-    }
     Message response;
+    ReadStatus status = ReadStatus::Error;
     try {
-      const serial::FrameCodec::Header header = codec_.decode_header(header_bytes);
-      std::vector<std::uint8_t> body;
-      std::size_t body_got = 0;
-      const bool body_ok = read_body_bytes(fd, body, header.body_bytes, body_got);
-      socket_stats_.wire_bytes_received += body_got;  // partial reads count too
-      if (!body_ok) {
-        throw NetworkError("connection closed mid-response to " +
-                           std::string(request.kind_name()));
-      }
-      ++socket_stats_.frames_received;
-      response = codec_.decode_body(header, body);
+      status = read_frame(fd, codec_, socket_stats_, response);
     } catch (const serial::FrameError& e) {
       // The peer is not speaking our protocol (version skew, corruption):
       // surface it through the documented transport error family instead
       // of leaking serial::FrameError out of send().
       throw NetworkError("undecodable response frame from 127.0.0.1:" +
                          std::to_string(dest_port) + ": " + e.what());
+    }
+    if (status == ReadStatus::Eof) {
+      // Retry only a *clean* zero-byte close (Eof): every deliberate
+      // server close after reading a request first writes at least a
+      // fault frame, so a clean FIN with no response bytes proves the
+      // request was never served. An abort (ECONNRESET and friends) or a
+      // cut mid-frame gives no such proof — the server may have died
+      // mid-handler — so it is reported, never retried.
+      if (pooled) continue;
+      throw NetworkError("connection closed before a response to " +
+                         std::string(request.kind_name()) +
+                         " arrived (response dropped?)");
+    }
+    if (status != ReadStatus::Ok) {
+      throw NetworkError("connection cut before the whole response to " +
+                         std::string(request.kind_name()) + " arrived");
     }
 
     if (is_fault(response)) {
@@ -594,28 +605,10 @@ void SocketTransport::connection_loop(int fd) {
   // bytes" as proof the request was never served.
   bool served_without_reply = false;
   for (;;) {
-    std::array<std::uint8_t, serial::FrameCodec::kHeaderSize> header_bytes{};
-    std::size_t header_got = 0;
-    const ReadStatus header_status =
-        read_exact(fd, header_bytes.data(), header_bytes.size(), &header_got);
-    // Received bytes are counted before decoding (partial reads included):
-    // they moved over the wire whether or not they parse, and a hostile
-    // stream must not undercount.
-    socket_stats_.wire_bytes_received += header_got;
-    if (header_status != ReadStatus::Ok) {
-      break;  // clean close between frames, or a failure — either way done
-    }
-    serial::FrameCodec::Header header;
-    std::vector<std::uint8_t> body;
     Message request;
     try {
-      header = codec_.decode_header(header_bytes);
-      std::size_t body_got = 0;
-      const bool body_ok = read_body_bytes(fd, body, header.body_bytes, body_got);
-      socket_stats_.wire_bytes_received += body_got;  // partial reads count too
-      if (!body_ok) break;
-      ++socket_stats_.frames_received;
-      request = codec_.decode_body(header, body);
+      // A clean close between frames, or a cut: either way done.
+      if (read_frame(fd, codec_, socket_stats_, request) != ReadStatus::Ok) break;
     } catch (const serial::FrameError& e) {
       // A malformed frame leaves the stream position untrustworthy: report
       // the fault, then close the connection rather than resynchronize.

@@ -1,9 +1,12 @@
 // serial::FrameCodec — the wire frame protocol.
 //
-// Two halves:
+// Three parts:
 //   * round-trip: every Message payload variant survives encode→decode
 //     byte-exactly (canonical encoding makes re-encode a strong equality
 //     oracle), including empty strings, embedded NULs and binary blobs;
+//   * pins: the bytes of every frame and the outcome of every hostile
+//     frame in a seeded corpus are fixed digests, so a layout changed on
+//     the encode and decode sides at once still fails here;
 //   * hostile input: a fixed-seed corpus of truncated, bit-flipped,
 //     wrong-version, wrong-kind, oversized and trailing-junk frames must
 //     each either decode to a valid Message (a flip that happens to keep
@@ -14,13 +17,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "core/expected.hpp"
 #include "serial/frame_codec.hpp"
 #include "transport/message.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace pti {
@@ -412,6 +419,38 @@ TEST(FrameCodec, BatchEntryAndHashSetCapsAreEnforced) {
   EXPECT_EQ(roomy.encode(roomy.decode(ack_frame)), ack_frame);
 }
 
+TEST(FrameCodec, ListElementCapBoundsTheWholeFrame) {
+  // A per-list cap multiplies through nested lists: 20 batch entries of
+  // 65,536 empty intros each passed it and decoded into 1.3M intros. The
+  // cap bounds the elements of all of a frame's lists together.
+  transport::SessionBatch batch;
+  for (int i = 0; i < 3; ++i) {
+    transport::SessionPush entry;
+    entry.intros.resize(2);
+    batch.entries.push_back(std::move(entry));
+  }
+  const transport::TypeInfoResponse response{{"<a/>", "<b/>", "<c/>"}, {"x", "y", "z"}};
+  // 3 entries + 3 × 2 intros = 9 elements; 3 + 3 names = 6 elements.
+  const std::pair<Message, std::size_t> cases[] = {{Message{"a", "b", batch}, 9},
+                                                   {Message{"a", "b", response}, 6}};
+  const FrameCodec loose;
+  const FrameCodec capped(FrameLimits{.max_list_elements = 4});  // every one list fits
+  for (const auto& [message, total] : cases) {
+    const std::vector<std::uint8_t> frame = loose.encode(message);
+    expect_fault(capped, frame, FrameFault::Oversized, message.kind_name());
+    try {
+      (void)capped.encode(message);
+      FAIL() << message.kind_name() << " over the frame-wide cap encoded";
+    } catch (const FrameError& e) {
+      EXPECT_EQ(e.fault(), FrameFault::Oversized);
+    }
+    const FrameCodec one_short(FrameLimits{.max_list_elements = total - 1});
+    expect_fault(one_short, frame, FrameFault::Oversized, message.kind_name());
+    const FrameCodec exact(FrameLimits{.max_list_elements = total});
+    EXPECT_EQ(exact.encode(exact.decode(frame)), frame) << message.kind_name();
+  }
+}
+
 TEST(FrameCodec, FixedSeedBitFlipCorpusNeverCrashes) {
   const FrameCodec codec;
   util::Rng rng(0xBADC0FFEEULL);
@@ -446,6 +485,258 @@ TEST(FrameCodec, FixedSeedBitFlipCorpusNeverCrashes) {
   // The corpus must actually exercise the rejection paths.
   EXPECT_GT(rejected, 0);
   EXPECT_GT(survived, 0);
+}
+
+// --- pinned wire bytes and hostile outcomes ---------------------------------
+//
+// Re-encoding is the round-trip tests' only oracle, so a layout edited on
+// the encode and decode sides at once passes them. These pins were
+// recorded on the version-2 wire and must not move without a version bump.
+
+std::uint64_t fnv(std::uint64_t digest, std::span<const std::uint8_t> bytes) {
+  return util::fnv1a64(
+      std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()), digest);
+}
+
+/// 0..300 arbitrary bytes: embedded NULs, and lengths of 128 and more whose
+/// varint prefix takes two bytes.
+std::string random_string(util::Rng& rng) {
+  std::size_t size = 0;
+  switch (rng.next_below(4)) {
+    case 0: break;
+    case 1: size = 1 + rng.next_below(16); break;
+    case 2: size = 128 + rng.next_below(173); break;
+    default: size = rng.next_below(64); break;
+  }
+  std::string s(size, '\0');
+  for (char& c : s) c = static_cast<char>(rng.next_below(256));
+  return s;
+}
+
+std::vector<std::uint8_t> random_bytes(util::Rng& rng) {
+  const std::string s = random_string(rng);
+  return {s.begin(), s.end()};
+}
+
+/// Varint length edges half the time, any 64-bit value otherwise.
+std::uint64_t random_u64(util::Rng& rng) {
+  static constexpr std::uint64_t kEdges[] = {
+      0, 1, 127, 128, 16383, 16384, 0xFFFFFFFFULL, 0x100000000ULL, ~0ULL};
+  return rng.next_below(2) == 0 ? kEdges[rng.next_below(std::size(kEdges))]
+                                : rng.next_u64();
+}
+
+std::uint32_t random_wire_id(util::Rng& rng) {
+  static constexpr std::uint32_t kEdges[] = {0, 1, 127, 128, 0xFFFFFFFFu};
+  return rng.next_below(2) == 0 ? kEdges[rng.next_below(std::size(kEdges))]
+                                : static_cast<std::uint32_t>(rng.next_u64());
+}
+
+bool random_bool(util::Rng& rng) { return rng.next_below(2) == 1; }
+
+template <typename T, typename Make>
+std::vector<T> random_list(util::Rng& rng, std::size_t max, Make make) {
+  std::vector<T> list(rng.next_below(max + 1));
+  for (T& item : list) item = make(rng);
+  return list;
+}
+
+transport::SessionIntro random_intro(util::Rng& rng) {
+  transport::SessionIntro m;
+  m.wire_id = random_wire_id(rng);
+  m.type_name = random_string(rng);
+  m.description_xml = random_string(rng);
+  m.assembly_name = random_string(rng);
+  m.download_path = random_string(rng);
+  return m;
+}
+
+transport::SessionPush random_session_push(util::Rng& rng) {
+  transport::SessionPush m;
+  m.token = random_u64(rng);
+  m.wire_types = random_list<std::uint32_t>(rng, 4, random_wire_id);
+  m.encoding = random_string(rng);
+  m.payload = random_bytes(rng);
+  m.intros = random_list<transport::SessionIntro>(rng, 3, random_intro);
+  m.intro_assembly_names = random_list<std::string>(rng, 3, random_string);
+  m.intro_assembly_bytes = random_u64(rng);
+  return m;
+}
+
+transport::SessionAck random_session_ack(util::Rng& rng) {
+  transport::SessionAck m;
+  m.status = static_cast<transport::SessionStatus>(rng.next_below(3));
+  m.delivered = random_bool(rng);
+  m.detail = random_string(rng);
+  m.known_desc_hashes = random_list<std::uint64_t>(rng, 5, random_u64);
+  return m;
+}
+
+/// A message of payload kind `kind` with every field drawn from `rng`.
+Message random_message(util::Rng& rng, std::size_t kind) {
+  Message m;
+  m.sender = random_string(rng);
+  m.recipient = random_string(rng);
+  switch (kind) {
+    case 0: {
+      transport::ObjectPush p;
+      p.envelope = random_bytes(rng);
+      p.eager_descriptions_xml = random_list<std::string>(rng, 3, random_string);
+      p.eager_assembly_names = random_list<std::string>(rng, 3, random_string);
+      p.eager_assembly_bytes = random_u64(rng);
+      m.payload = std::move(p);
+      break;
+    }
+    case 1: {
+      transport::PushAck p;
+      p.delivered = random_bool(rng);
+      p.detail = random_string(rng);
+      m.payload = std::move(p);
+      break;
+    }
+    case 2:
+      m.payload = transport::TypeInfoRequest{random_list<std::string>(rng, 5, random_string)};
+      break;
+    case 3: {
+      transport::TypeInfoResponse p;
+      p.descriptions_xml = random_list<std::string>(rng, 4, random_string);
+      p.unknown = random_list<std::string>(rng, 3, random_string);
+      m.payload = std::move(p);
+      break;
+    }
+    case 4: m.payload = transport::CodeRequest{random_string(rng)}; break;
+    case 5: {
+      transport::CodeResponse p;
+      p.assembly_name = random_string(rng);
+      p.found = random_bool(rng);
+      p.code_bytes = random_u64(rng);
+      m.payload = std::move(p);
+      break;
+    }
+    case 6: {
+      transport::InvokeRequest p;
+      p.object_id = random_u64(rng);
+      p.method_name = random_string(rng);
+      p.args_envelope = random_bytes(rng);
+      m.payload = std::move(p);
+      break;
+    }
+    case 7: {
+      transport::InvokeResponse p;
+      p.ok = random_bool(rng);
+      p.result_envelope = random_bytes(rng);
+      p.error = random_string(rng);
+      m.payload = std::move(p);
+      break;
+    }
+    case 8: m.payload = transport::ErrorReply{random_string(rng)}; break;
+    case 9: m.payload = random_session_push(rng); break;
+    case 10: m.payload = random_session_ack(rng); break;
+    case 11:
+      m.payload = transport::SessionBatch{
+          random_list<transport::SessionPush>(rng, 5, random_session_push)};
+      break;
+    default:
+      m.payload = transport::SessionBatchAck{
+          random_list<transport::SessionAck>(rng, 5, random_session_ack)};
+      break;
+  }
+  return m;
+}
+
+/// sample_messages() plus 2,080 seeded messages, 160 of each kind.
+std::vector<Message> pinned_corpus() {
+  std::vector<Message> corpus = sample_messages();
+  util::Rng rng(0x5EED'F4A3ULL);
+  constexpr std::size_t kKinds = std::variant_size_v<transport::MessagePayload>;
+  for (std::size_t i = 0; i < 160 * kKinds; ++i) {
+    corpus.push_back(random_message(rng, i % kKinds));
+  }
+  return corpus;
+}
+
+TEST(FrameCodec, FrameBytesArePinned) {
+  struct Pin {
+    std::size_t size;
+    std::uint64_t fnv;
+  };
+  static constexpr Pin kSamplePins[] = {
+      {84, 0xcd42afe7a4ab82b1ULL},  {34, 0x6607246e5a95891bULL},
+      {17, 0xc8d357a3b3f320d4ULL},  {49, 0x8d17f84eefd63f0dULL},
+      {346, 0x0b6d8ca14ba6fe9aULL}, {33, 0x09b4b80966c1b3a3ULL},
+      {36, 0x3d6f84da4e07feb4ULL},  {42, 0x02a6e78e5c6ae095ULL},
+      {26, 0xc3ed097a813c5a26ULL},  {37, 0xa41ad9f766765e3cULL},
+      {48, 0x4e74179b6275574bULL},  {148, 0x82d039e43070756fULL},
+      {36, 0xad8bd6c4964d5826ULL},  {45, 0x67496f184b25e884ULL},
+      {116, 0x7576b78f83705786ULL}, {67, 0x39a2b29ca827e7c4ULL}};
+  const FrameCodec codec;
+  const std::vector<Message> samples = sample_messages();
+  ASSERT_EQ(samples.size(), std::size(kSamplePins));
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const std::vector<std::uint8_t> frame = codec.encode(samples[i]);
+    EXPECT_EQ(frame.size(), kSamplePins[i].size) << i << " " << samples[i].kind_name();
+    EXPECT_EQ(fnv(util::kFnvOffset64, frame), kSamplePins[i].fnv)
+        << i << " " << samples[i].kind_name();
+  }
+
+  std::uint64_t digest = util::kFnvOffset64;
+  std::size_t bytes = 0;
+  for (const Message& message : pinned_corpus()) {
+    const std::vector<std::uint8_t> frame = codec.encode(message);
+    bytes += frame.size();
+    digest = fnv(digest, frame);
+  }
+  EXPECT_EQ(bytes, 906333u);
+  EXPECT_EQ(digest, 0x76382e0328ca139bULL);
+}
+
+TEST(FrameCodec, HostileOutcomesArePinned) {
+  // Each frame of the pinned corpus yields four hostile variants: two with
+  // 1-3 bit flips, one cut short, and one cut short with its header's
+  // length rewritten to match, so the body parser meets the cut. Each
+  // outcome folds in: the FNV of the decoded message's re-encoding, or
+  // the FrameFault that rejected the frame.
+  const FrameCodec codec;
+  util::Rng rng(0xF11B'5EEDULL);
+  std::uint64_t digest = util::kFnvOffset64;
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  const auto fold_outcome = [&](std::span<const std::uint8_t> frame) {
+    Message message;
+    try {
+      message = codec.decode(frame);
+    } catch (const FrameError& e) {
+      ++rejected;
+      digest = util::hash_combine(digest, static_cast<std::uint64_t>(e.fault()));
+      return;
+    }
+    ++decoded;
+    digest = util::hash_combine(digest, fnv(util::kFnvOffset64, codec.encode(message)));
+  };
+  for (const Message& message : pinned_corpus()) {
+    const std::vector<std::uint8_t> frame = codec.encode(message);
+    for (int variant = 0; variant < 2; ++variant) {
+      std::vector<std::uint8_t> flipped = frame;
+      const int flips = 1 + static_cast<int>(rng.next_below(3));
+      for (int f = 0; f < flips; ++f) {
+        flipped[rng.next_below(flipped.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.next_below(8));
+      }
+      fold_outcome(flipped);
+    }
+    fold_outcome(std::span(frame).first(rng.next_below(frame.size())));
+
+    const std::size_t kept = rng.next_below(frame.size() - FrameCodec::kHeaderSize);
+    const auto prefix = std::span(frame).first(FrameCodec::kHeaderSize + kept);
+    std::vector<std::uint8_t> cut(prefix.begin(), prefix.end());
+    for (std::size_t b = 0; b < 4; ++b) {
+      cut[6 + b] = static_cast<std::uint8_t>(kept >> (8 * b));
+    }
+    fold_outcome(cut);
+  }
+  EXPECT_EQ(decoded, 3297u);
+  EXPECT_EQ(rejected, 5087u);
+  EXPECT_EQ(digest, 0x489e9a502ccac042ULL);
 }
 
 TEST(FrameCodec, FrameErrorsClassifyAsSerialization) {

@@ -482,6 +482,39 @@ TEST(TransportQuota, SimNetworkChargesTypeInfoNames) {
   EXPECT_NO_THROW((void)net.send(Message{"mallory", "server", std::move(small)}));
 }
 
+TEST(TransportQuota, RepeatedNamesAreChargedOnce) {
+  // The budget counts distinct names: a request repeating one fresh name
+  // in three spellings, and a batch whose every entry introduces the same
+  // fresh name (as a first window does), are each charged one name.
+  SimNetwork net;
+  net.attach("server", [](const Message& m) {
+    return Message{"server", m.sender, PushAck{true, "ok"}};
+  });
+  PeerQuotaConfig config;
+  config.max_new_names = 2;
+  net.set_default_peer_quota(config);
+
+  TypeInfoRequest request;
+  request.type_names = {"quota.repeat.Alpha", "QUOTA.REPEAT.ALPHA", "quota.repeat.Alpha"};
+  transport::SessionBatch batch;
+  for (int i = 0; i < 3; ++i) {
+    transport::SessionPush entry;
+    entry.intros.push_back({1, "quota.repeat.Beta", "", "", ""});
+    batch.entries.push_back(std::move(entry));
+  }
+  const Message repeated_request{"mallory", "server", request};
+  const Message repeated_batch{"mallory", "server", batch};
+  EXPECT_EQ(transport::count_new_names(repeated_request), 1u);
+  EXPECT_EQ(transport::count_new_names(repeated_batch), 1u);
+  EXPECT_NO_THROW((void)net.send(repeated_request));
+  EXPECT_NO_THROW((void)net.send(repeated_batch));
+  // Both names used the budget up: a third distinct name is refused.
+  TypeInfoRequest third;
+  third.type_names = {"quota.repeat.Gamma"};
+  EXPECT_THROW((void)net.send(Message{"mallory", "server", std::move(third)}),
+               pti::ResourceExhaustedError);
+}
+
 TEST(TransportQuota, RateLimitRecoversOnVirtualClock) {
   SimNetwork net;
   net.attach("server", [](const Message& m) {

@@ -28,8 +28,8 @@
 #   90 megasim scale smoke (10^4-peer deterministic scenario, Release,
 #      wall-clock ceiling SCALE_SMOKE_SECONDS, default 300)
 #   95 session equivalence gate (Release: the differential session suite +
-#      the session fuzz/socket/megasim equivalence sweeps, batched paths
-#      included)
+#      the session fuzz/megasim equivalence sweeps, batched paths included,
+#      every socket equivalence sweep and the frame codec suite)
 #   97 bench regression gate (smoke-scale bench run; deterministic
 #      counters compared against the committed BENCH_*.json trajectory)
 #   98 benchmark correctness smoke (every perfbench workload for 2 s:
@@ -118,17 +118,20 @@ stage 90 "megasim scale smoke (10^4 peers, deterministic)" scale_smoke
 # verdict/delivery stream as the cold protocol — in Release, where timing
 # differs most from the sanitizer builds above. Runs the differential
 # session suite plus every session-tagged equivalence sweep (the matcher
-# modes over every push shape, fixed-seed fuzz, sockets-vs-simulator,
-# megasim digests, the megasim byte pins and LightweightPeer's Reset and
-# Error paths).
+# modes over every push shape, fixed-seed fuzz, megasim digests, the
+# megasim byte pins and LightweightPeer's Reset and Error paths), every
+# sockets-vs-simulator sweep (cold protocol and sessions), and the frame
+# codec suite with its pinned wire bytes and hostile-frame outcomes.
 session_equivalence() {
   cmake --preset release > /dev/null && \
     cmake --build --preset release "${BUILD_JOBS[@]}" \
-      --target test_session test_transport test_protocol_fuzz test_socket_transport test_sim && \
+      --target test_session test_transport test_protocol_fuzz test_socket_transport test_sim \
+      test_frame_codec && \
+    build-bench/test_frame_codec && \
     build-bench/test_session && \
     build-bench/test_transport --gtest_filter='*MatcherMode*' && \
     build-bench/test_protocol_fuzz --gtest_filter='ProtocolFuzz.SessionModeAgreesWithColdProtocol:ProtocolFuzz.BatchedSessionAgreesWithColdProtocol' && \
-    build-bench/test_socket_transport --gtest_filter='SocketTransportEquivalence.Session*' && \
+    build-bench/test_socket_transport --gtest_filter='SocketTransportEquivalence.*' && \
     build-bench/test_sim --gtest_filter='ScenarioEquivalence.SessionModeAgreesWhileWireCostCollapses:ScenarioEquivalence.BatchedSessionsReproduceTheVerdictStream:ScenarioEquivalence.SharedIntrosBeatColdOnAColdHeavyStorm:ScenarioEquivalence.InvertedIndexAndPerPeerScanProduceIdenticalRuns:ScenarioGolden.*:LightweightPeerSession.*'
 }
 stage 95 "session equivalence gate (Release differential suite)" session_equivalence
