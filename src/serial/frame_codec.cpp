@@ -1,6 +1,7 @@
 #include "serial/frame_codec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <concepts>
 #include <string>
 #include <type_traits>
@@ -42,22 +43,35 @@ void require_known_kind(std::uint8_t kind) {
   }
 }
 
-// One field list per body, in wire order. encode() hands it to a Writer and
-// decode_body() to a Reader, so both directions of a layout come from one
+// One field list per body, in wire order, walked to encode, to decode and
+// to measure, so a layout, its decoding and its size come from one
 // definition. SessionPush/SessionAck recurse through theirs: a batch entry
 // is byte-identical to its standalone kind-9/10 body by construction.
 
 template <typename M, typename T>
 concept Is = std::same_as<std::remove_const_t<M>, T>;
 
+/// Assembly bytes the simulation charges but no socket carries: a varint
+/// on the wire, whose value measure() adds to the frame's size.
+template <typename T>
+struct Simulated {
+  T& bytes;
+};
+
+/// a + b, saturating: the simulated counts are peer-declared.
+std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) { return a + std::min(b, ~a); }
+
 void fields(Is<ObjectPush> auto& m, auto& v) {
-  v(m.envelope, m.eager_descriptions_xml, m.eager_assembly_names, m.eager_assembly_bytes);
+  v(m.envelope, m.eager_descriptions_xml, m.eager_assembly_names,
+    Simulated{m.eager_assembly_bytes});
 }
 void fields(Is<PushAck> auto& m, auto& v) { v(m.delivered, m.detail); }
 void fields(Is<TypeInfoRequest> auto& m, auto& v) { v(m.type_names); }
 void fields(Is<TypeInfoResponse> auto& m, auto& v) { v(m.descriptions_xml, m.unknown); }
 void fields(Is<CodeRequest> auto& m, auto& v) { v(m.assembly_name); }
-void fields(Is<CodeResponse> auto& m, auto& v) { v(m.assembly_name, m.found, m.code_bytes); }
+void fields(Is<CodeResponse> auto& m, auto& v) {
+  v(m.assembly_name, m.found, Simulated{m.code_bytes});
+}
 void fields(Is<InvokeRequest> auto& m, auto& v) {
   v(m.object_id, m.method_name, m.args_envelope);
 }
@@ -68,7 +82,7 @@ void fields(Is<SessionIntro> auto& m, auto& v) {
 }
 void fields(Is<SessionPush> auto& m, auto& v) {
   v(m.token, m.wire_types, m.encoding, m.payload, m.intros, m.intro_assembly_names,
-    m.intro_assembly_bytes);
+    Simulated{m.intro_assembly_bytes});
 }
 void fields(Is<SessionAck> auto& m, auto& v) {
   v(m.status, m.delivered, m.detail, m.known_desc_hashes);
@@ -83,35 +97,57 @@ void fields(Is<SessionBatchAck> auto& m, auto& v) { v(m.entries); }
 /// gigabytes); a frame every conforming peer rejects as Oversized fails
 /// fast at encode, not as a remote fault plus a torn-down connection.
 struct ElementBudget {
-  const FrameLimits& limits;
+  std::uint64_t max = ~std::uint64_t{0};  ///< none by default
   std::uint64_t total = 0;
   void charge(std::uint64_t count) {
     total += count;
-    if (total > limits.max_list_elements) {
+    if (total > max) {
       throw FrameError(FrameFault::Oversized,
                        "list of " + std::to_string(count) + " elements brings the frame to " +
-                           std::to_string(total) + ", over the " +
-                           std::to_string(limits.max_list_elements) + "-element limit");
+                           std::to_string(total) + ", over the " + std::to_string(max) +
+                           "-element limit");
     }
   }
 };
 
-/// Encodes field lists. Each field type's rule is written once, here.
-struct Writer {
-  ByteWriter& out;
-  ElementBudget elements;
+/// ByteWriter's primitives, counted instead of written.
+struct ByteCounter {
+  static std::size_t varint(std::uint64_t v) { return (std::bit_width(v | 1) + 6u) / 7; }
+  std::size_t bytes = 0;
+  void write_u8(std::uint8_t) { ++bytes; }
+  void write_varint(std::uint64_t v) { bytes += varint(v); }
+  void write_string(std::string_view s) { bytes += varint(s.size()) + s.size(); }
+  void write_bytes(std::span<const std::uint8_t> b) { bytes += varint(b.size()) + b.size(); }
+};
 
+/// Writes field lists to a ByteWriter, or counts them on a ByteCounter:
+/// each field type's rule is written once, here.
+template <typename Sink>
+struct Writer {
+  Sink& out;
+  ElementBudget elements;
+  std::uint64_t simulated = 0;  ///< the Simulated fields' sum, saturating
+
+  /// One message's body: sender, recipient, then its payload's field list.
+  void body(const Message& message) {
+    (*this)(message.sender, message.recipient);
+    std::visit([this](const auto& m) { fields(m, *this); }, message.payload);
+  }
   template <typename... F>
   void operator()(const F&... f) {
     (field(f), ...);
   }
 
-  void field(bool v) { out.write_bool(v); }
+  void field(bool v) { out.write_u8(v ? 1 : 0); }
   void field(std::uint64_t v) { out.write_varint(v); }
   void field(std::uint32_t v) { out.write_varint(v); }
   void field(SessionStatus v) { out.write_u8(static_cast<std::uint8_t>(v)); }
   void field(const std::string& v) { out.write_string(v); }
   void field(const std::vector<std::uint8_t>& v) { out.write_bytes(v); }
+  void field(Simulated<const std::uint64_t> v) {
+    field(v.bytes);
+    simulated = saturating_add(simulated, v.bytes);
+  }
   template <typename T>
   void field(const std::vector<T>& list) {
     elements.charge(list.size());
@@ -131,25 +167,29 @@ struct Reader {
   ElementBudget elements;
 
   template <typename... F>
-  void operator()(F&... f) {
+  void operator()(F&&... f) {
     (field(f), ...);
   }
 
-  void field(bool& v) { v = in.read_bool(); }
+  /// A byte of at most `last`: a bool or a SessionStatus has exactly one
+  /// encoding per value (ByteReader::read_bool takes any nonzero byte).
+  std::uint8_t byte_up_to(std::uint8_t last, const char* what) {
+    const std::uint8_t byte = in.read_u8();
+    if (byte > last) throw util::ByteBufferError(what + (" byte " + std::to_string(byte)));
+    return byte;
+  }
+  void field(bool& v) { v = byte_up_to(1, "bool") == 1; }
+  void field(SessionStatus& v) {
+    v = static_cast<SessionStatus>(
+        byte_up_to(static_cast<std::uint8_t>(SessionStatus::Error), "session ack status"));
+  }
   void field(std::uint64_t& v) { v = in.read_varint(); }
+  void field(Simulated<std::uint64_t> v) { field(v.bytes); }
   /// A session wire id.
   void field(std::uint32_t& v) {
     const std::uint64_t id = in.read_varint();
     if (id > 0xFFFFFFFFull) throw util::ByteBufferError("session wire id exceeds 32 bits");
     v = static_cast<std::uint32_t>(id);
-  }
-  void field(SessionStatus& v) {
-    const std::uint8_t status = in.read_u8();
-    if (status > static_cast<std::uint8_t>(SessionStatus::Error)) {
-      throw util::ByteBufferError("session ack status " + std::to_string(status) +
-                                  " names no SessionStatus");
-    }
-    v = static_cast<SessionStatus>(status);
   }
   void field(std::string& v) { v = in.read_string(); }
   void field(std::vector<std::uint8_t>& v) { v = in.read_bytes(); }
@@ -184,31 +224,35 @@ MessagePayload alternative(std::uint8_t kind) {
 
 }  // namespace
 
-std::vector<std::uint8_t> FrameCodec::encode(const Message& message) const {
-  ByteWriter body;
-  body.reserve(message.sender.size() + message.recipient.size() + 64);
-  Writer writer{body, {limits_}};
-  writer(message.sender, message.recipient);
-  std::visit([&writer](const auto& m) { fields(m, writer); }, message.payload);
+FrameCodec::Size FrameCodec::measure(const Message& message) noexcept {
+  ByteCounter counter{kHeaderSize};
+  Writer<ByteCounter> writer{counter, {}};
+  writer.body(message);
+  return {counter.bytes, saturating_add(counter.bytes, writer.simulated)};
+}
+
+std::vector<std::uint8_t> FrameCodec::encode(const Message& message, Size* size) const {
+  const Size measured = measure(message);
+  if (size != nullptr) *size = measured;
+  const std::size_t body = measured.frame - kHeaderSize;
   // The header's length field is a u32, so 0xFFFFFFFF caps the encodable
   // body regardless of how far FrameLimits was loosened — silently
   // truncating the declared length would desync the whole stream.
   constexpr std::size_t kWireMax = 0xFFFFFFFFu;
-  if (body.size() > limits_.max_body_bytes || body.size() > kWireMax) {
+  if (body > limits_.max_body_bytes || body > kWireMax) {
     throw FrameError(FrameFault::Oversized,
-                     "encoded body of " + std::to_string(body.size()) +
-                         " bytes exceeds the " +
+                     "encoded body of " + std::to_string(body) + " bytes exceeds the " +
                          std::to_string(std::min(limits_.max_body_bytes, kWireMax)) +
                          "-byte limit");
   }
 
   ByteWriter frame;
-  frame.reserve(kHeaderSize + body.size());
+  frame.reserve(kHeaderSize + body);  // the one buffer, exactly the frame's size
   frame.write_raw(kMagic);
   frame.write_u8(kVersion);
   frame.write_u8(static_cast<std::uint8_t>(message.payload.index()));
-  frame.write_u32(static_cast<std::uint32_t>(body.size()));
-  frame.write_raw(body.bytes());
+  frame.write_u32(static_cast<std::uint32_t>(body));
+  Writer<ByteWriter>{frame, {limits_.max_list_elements}}.body(message);
   return frame.take();
 }
 
@@ -256,16 +300,16 @@ Message FrameCodec::decode_body(const Header& header,
   ByteReader in(body);
   Message message;
   try {
-    Reader reader{in, {limits_}};
+    Reader reader{in, {limits_.max_list_elements}};
     reader(message.sender, message.recipient);
     message.payload = alternative(header.kind);
     std::visit([&reader](auto& m) { fields(m, reader); }, message.payload);
   } catch (const util::ByteBufferError& e) {
     throw FrameError(FrameFault::Corrupt, e.what());
   }
-  if (!in.at_end()) {
-    throw FrameError(FrameFault::Corrupt,
-                     std::to_string(in.remaining()) + " trailing bytes after the payload");
+  // Only the exact encoding decodes: no trailing bytes, no overlong varint.
+  if (measure(message).frame != kHeaderSize + body.size()) {
+    throw FrameError(FrameFault::Corrupt, "body is not its message's exact encoding");
   }
   return message;
 }

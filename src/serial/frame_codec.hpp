@@ -1,9 +1,8 @@
 // FrameCodec — the versioned binary frame protocol that puts
 // transport::Message on a real wire.
 //
-// Until this layer existed, Message structs "knew their wire sizes" but
-// only ever travelled in-process. FrameCodec gives every payload variant a
-// byte representation so a transport can ship it across a socket:
+// FrameCodec gives every payload variant a byte representation so a
+// transport can ship it across a socket, and measures its size from it:
 //
 //   offset  size  field
 //   0       4     magic "PTIF"
@@ -17,9 +16,9 @@
 //   length-prefixed strings/bytes) — the same primitives as the binary
 //   object serializer, so the whole frame shares one encoding idiom. Each
 //   variant (and SessionIntro) has one field list in wire order, which
-//   encode() and decode_body() both walk, so the two directions of a
-//   layout cannot drift apart. ObjectPush/InvokeRequest bodies embed the
-//   already-serialized serial::Envelope bytes verbatim.
+//   encode(), decode_body() and measure() all walk, so a layout's two
+//   directions and its size cannot drift apart. ObjectPush and
+//   InvokeRequest bodies embed serial::Envelope bytes verbatim.
 //
 // Versioning rules: the magic never changes; a decoder accepts exactly the
 // versions it speaks (currently only kVersion) and rejects everything else
@@ -29,12 +28,11 @@
 // SessionBatchAck kinds and the known-description hash set on SessionAck —
 // a shape change to an existing kind, hence the bump.)
 //
-// Decoding is strict and total: any input — truncated, bit-flipped,
-// oversized, trailing junk — either yields a fully-valid Message or throws
-// serial::FrameError with a classified FrameFault. No crash, no partial
-// message, no unbounded allocation (body length is capped by FrameLimits
-// before any body byte is touched, and list counts cannot allocate beyond
-// the bytes actually present or the frame-wide element budget).
+// Decoding is strict and total: any input either is the exact encoding of
+// the Message it yields or throws serial::FrameError with a classified
+// FrameFault. No crash, no partial message, no unbounded allocation (body
+// length is capped by FrameLimits before any body byte is touched, and list
+// counts cannot allocate beyond the bytes present or the element budget).
 #pragma once
 
 #include <array>
@@ -75,16 +73,28 @@ class FrameCodec {
     std::uint32_t body_bytes = 0;   ///< body length following the header
   };
 
+  /// The frame encode() writes, and `total`: that frame plus the assembly
+  /// bytes it carries only as counts, saturating (they are peer-declared).
+  struct Size {
+    std::size_t frame = 0;
+    std::uint64_t total = 0;
+  };
+
   explicit FrameCodec(FrameLimits limits = {}) noexcept : limits_(limits) {}
+
+  /// One walk of the field lists, without encoding and without the element
+  /// budget (a message in memory allocates nothing per element).
+  [[nodiscard]] static Size measure(const transport::Message& message) noexcept;
 
   [[nodiscard]] const FrameLimits& limits() const noexcept { return limits_; }
 
-  /// Serializes `message` into one complete frame (header + body).
-  /// Throws FrameError{Oversized} when the body exceeds max_body_bytes or
-  /// the frame's lists hold more than max_list_elements in total — the
-  /// same caps the decoder enforces, so anything encode() accepts every
-  /// conforming peer decodes.
-  [[nodiscard]] std::vector<std::uint8_t> encode(const transport::Message& message) const;
+  /// Serializes `message` into one complete frame (header + body); `*size`,
+  /// when given, receives its measure(). Throws FrameError{Oversized} when
+  /// the body exceeds max_body_bytes or the frame's lists hold more than
+  /// max_list_elements in total — the same caps the decoder enforces, so
+  /// anything encode() accepts every conforming peer decodes.
+  [[nodiscard]] std::vector<std::uint8_t> encode(const transport::Message& message,
+                                                 Size* size = nullptr) const;
 
   /// Decodes exactly one complete frame. Throws FrameError on any
   /// malformed input (see the fault taxonomy in serial_error.hpp).

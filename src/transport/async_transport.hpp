@@ -133,7 +133,9 @@ class AsyncTransport final : public Transport {
   using Endpoint = EndpointRegistry::Endpoint;
 
   /// Charges one traversal (stats + virtual clock); false when dropped.
-  bool charge(const Message& message) { return link_model_.charge(message, stats_, clock_); }
+  bool charge(const Message& message) {
+    return link_model_.charge(message, message.wire_size(), stats_, clock_);
+  }
 
   /// The request/response exchange core shared by send() and the workers.
   Message exchange(const Handler& handler, const Message& request);

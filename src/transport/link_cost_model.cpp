@@ -41,14 +41,14 @@ double LinkCostModel::next_uniform() noexcept {
   return static_cast<double>(z >> 11) * 0x1.0p-53;
 }
 
-bool LinkCostModel::charge(const Message& message, NetStats& stats,
+bool LinkCostModel::charge(const Message& message, std::size_t wire_bytes, NetStats& stats,
                            util::SimClock& clock) {
   const LinkConfig link = link_for(message.sender, message.recipient);
   if (link.drop_probability > 0.0 && next_uniform() < link.drop_probability) {
     ++stats.drops;
     return false;
   }
-  charge_traversal(link, message.wire_size(), stats, clock);
+  charge_traversal(link, wire_bytes, stats, clock);
   return true;
 }
 

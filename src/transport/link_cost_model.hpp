@@ -28,9 +28,11 @@ class LinkCostModel {
   void set_link(std::string_view from, std::string_view to, const LinkConfig& config);
   [[nodiscard]] LinkConfig link_for(std::string_view from, std::string_view to) const;
 
-  /// Charges one traversal of `message` against `stats`/`clock`; false
-  /// when the link's drop probability fired (the drop is counted).
-  bool charge(const Message& message, NetStats& stats, util::SimClock& clock);
+  /// Charges one traversal of `message`, `wire_bytes` long (its
+  /// wire_size()), against `stats`/`clock`; false when the link's drop
+  /// probability fired (the drop is counted).
+  bool charge(const Message& message, std::size_t wire_bytes, NetStats& stats,
+              util::SimClock& clock);
 
  private:
   [[nodiscard]] double next_uniform() noexcept;

@@ -1,69 +1,10 @@
 #include "transport/message.hpp"
 
+#include "serial/frame_codec.hpp"
+
 namespace pti::transport {
 
 namespace {
-
-constexpr std::size_t kHeaderSize = 48;  // routing, kind, framing
-
-struct SizeVisitor {
-  std::size_t operator()(const ObjectPush& m) const noexcept {
-    std::size_t size = m.envelope.size() + m.eager_assembly_bytes;
-    for (const auto& d : m.eager_descriptions_xml) size += d.size();
-    for (const auto& n : m.eager_assembly_names) size += n.size() + 4;
-    return size;
-  }
-  std::size_t operator()(const PushAck& m) const noexcept { return 2 + m.detail.size(); }
-  std::size_t operator()(const TypeInfoRequest& m) const noexcept {
-    std::size_t size = 4;
-    for (const auto& n : m.type_names) size += n.size() + 4;
-    return size;
-  }
-  std::size_t operator()(const TypeInfoResponse& m) const noexcept {
-    std::size_t size = 4;
-    for (const auto& d : m.descriptions_xml) size += d.size() + 4;
-    for (const auto& u : m.unknown) size += u.size() + 4;
-    return size;
-  }
-  std::size_t operator()(const CodeRequest& m) const noexcept {
-    return m.assembly_name.size() + 4;
-  }
-  std::size_t operator()(const CodeResponse& m) const noexcept {
-    return m.assembly_name.size() + 6 + static_cast<std::size_t>(m.code_bytes);
-  }
-  std::size_t operator()(const InvokeRequest& m) const noexcept {
-    return 8 + m.method_name.size() + 4 + m.args_envelope.size();
-  }
-  std::size_t operator()(const InvokeResponse& m) const noexcept {
-    return 2 + m.result_envelope.size() + m.error.size();
-  }
-  std::size_t operator()(const ErrorReply& m) const noexcept {
-    return m.message.size() + 4;
-  }
-  std::size_t operator()(const SessionPush& m) const noexcept {
-    std::size_t size = 8 + 4 * m.wire_types.size() + m.encoding.size() + 4 +
-                       m.payload.size() + static_cast<std::size_t>(m.intro_assembly_bytes);
-    for (const auto& i : m.intros) {
-      size += 4 + i.type_name.size() + i.description_xml.size() + i.assembly_name.size() +
-              i.download_path.size() + 16;
-    }
-    for (const auto& n : m.intro_assembly_names) size += n.size() + 4;
-    return size;
-  }
-  std::size_t operator()(const SessionAck& m) const noexcept {
-    return 3 + m.detail.size() + 8 * m.known_desc_hashes.size();
-  }
-  std::size_t operator()(const SessionBatch& m) const noexcept {
-    std::size_t size = 4;
-    for (const auto& entry : m.entries) size += (*this)(entry);
-    return size;
-  }
-  std::size_t operator()(const SessionBatchAck& m) const noexcept {
-    std::size_t size = 4;
-    for (const auto& entry : m.entries) size += (*this)(entry);
-    return size;
-  }
-};
 
 struct KindVisitor {
   const char* operator()(const ObjectPush&) const noexcept { return "ObjectPush"; }
@@ -88,7 +29,7 @@ struct KindVisitor {
 }  // namespace
 
 std::size_t Message::wire_size() const noexcept {
-  return kHeaderSize + sender.size() + recipient.size() + std::visit(SizeVisitor{}, payload);
+  return serial::FrameCodec::measure(*this).total;
 }
 
 const char* Message::kind_name() const noexcept {

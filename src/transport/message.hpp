@@ -9,9 +9,9 @@
 //   InvokeRequest/InvokeResponse — pass-by-reference remote invocations
 //   PushAck / ErrorReply — outcome signalling
 //
-// Wire sizes are modelled analytically (header + real content bytes); the
-// dominant contributors — envelopes, XML descriptions, assembly code — are
-// measured from their true serialized size.
+// A message's size is measured off serial::FrameCodec's field lists: the
+// frame that crosses a socket, plus the simulated assembly bytes that frame
+// carries only as counts (see wire_size()).
 #pragma once
 
 #include <cstdint>
@@ -135,6 +135,7 @@ struct Message {
   std::string recipient;
   MessagePayload payload;
 
+  /// serial::FrameCodec::measure(*this).total: what transports charge and admit.
   [[nodiscard]] std::size_t wire_size() const noexcept;
   [[nodiscard]] const char* kind_name() const noexcept;
 };

@@ -270,7 +270,7 @@ ObjectPush Peer::build_push(const std::shared_ptr<DynObject>& object) {
 }
 
 SessionPush Peer::build_session_push(const std::string& to, const SessionObject& object,
-                                    SessionPlan& out) {
+                                    SessionPlan& out, Carried& carried) {
   out.names.clear();
   out.names.reserve(object.types.size());
   for (const auto& t : object.types) out.names.push_back(t.type_name);
@@ -331,6 +331,7 @@ SessionPush Peer::build_session_push(const std::string& to, const SessionObject&
     };
 
     for (const std::size_t i : plan.fresh) {
+      if (!carried.intros.insert(out.names[i]).second) continue;
       SessionIntro intro;
       intro.wire_id = push.wire_types[i];
       intro.type_name = out.names[i];
@@ -345,6 +346,7 @@ SessionPush Peer::build_session_push(const std::string& to, const SessionObject&
       push.intros.push_back(std::move(intro));
     }
     for (const std::size_t j : extra_plan.fresh) {
+      if (!carried.intros.insert(extra_names[j]).second) continue;
       const TypeDescription* d = extras[j];
       SessionIntro intro;
       intro.wire_id = extra_plan.wire_ids[j];
@@ -362,12 +364,14 @@ SessionPush Peer::build_session_push(const std::string& to, const SessionObject&
 
     if (config_.mode == ProtocolMode::Eager) {
       // Eager + session: prepay the assemblies of everything introduced,
-      // mirroring the eager ObjectPush — a warmed eager push ships none.
+      // mirroring the eager ObjectPush — a warmed eager push ships none,
+      // nor does an entry whose assemblies an earlier entry prepaid.
       std::set<std::string, util::ICaseLess> assemblies;
       for (const TypeDescription* d : closure) {
         if (!d->assembly_name().empty()) assemblies.insert(d->assembly_name());
       }
       for (const auto& assembly_name : assemblies) {
+        if (!carried.assemblies.insert(assembly_name).second) continue;
         if (const auto assembly = hub_->fetch(assembly_name)) {
           push.intro_assembly_names.push_back(assembly_name);
           push.intro_assembly_bytes += assembly->simulated_code_size();
@@ -446,8 +450,9 @@ PushAck Peer::send_object(std::string_view to, const std::shared_ptr<DynObject>&
   flush_batch_window(recipient);
   for (bool may_replay = true;; may_replay = false) {
     SessionPlan plan;
-    Message response = network_.send(
-        Message{name_, recipient, build_session_push(recipient, session_object, plan)});
+    Carried carried;
+    Message response = network_.send(Message{
+        name_, recipient, build_session_push(recipient, session_object, plan, carried)});
     ++stats_.objects_sent;
     SessionAck ack = reply_slot(response, 0, 1);
     if (auto done = settle(recipient, ack, &plan, may_replay)) return std::move(*done);
@@ -500,18 +505,23 @@ void Peer::send_window(const std::string& recipient, std::vector<PendingPush> it
   auto window = std::make_shared<std::vector<PendingPush>>(std::move(items));
   try {
     // Plans are made at dispatch time, in queue order: wire ids and the token
-    // reflect the session as the receiver will see it, entry by entry.
+    // reflect the session as the receiver will see it, entry by entry. Each
+    // intro rides in the first entry that needs it; if that entry fails
+    // before the receiver learns it, a later entry meets an unknown wire id,
+    // is answered Reset and gets its one replay.
     Message request{name_, recipient, {}};
+    Carried carried;
     if (batch) {
       SessionBatch frame;
       frame.entries.reserve(window->size());
       for (PendingPush& item : *window) {
-        frame.entries.push_back(build_session_push(recipient, item.object, item.plan));
+        frame.entries.push_back(
+            build_session_push(recipient, item.object, item.plan, carried));
       }
       request.payload = std::move(frame);
     } else {
       PendingPush& item = window->front();
-      request.payload = build_session_push(recipient, item.object, item.plan);
+      request.payload = build_session_push(recipient, item.object, item.plan, carried);
     }
     dispatch(std::move(request), [this, recipient, window](Message& response,
                                                           std::exception_ptr error) {

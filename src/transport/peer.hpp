@@ -289,8 +289,18 @@ class Peer {
     std::vector<std::string> names;
     std::vector<std::size_t> fresh;
   };
+  /// What earlier entries of the same frame carry: intros by type name,
+  /// eager-prepaid assemblies by assembly name.
+  struct Carried {
+    std::set<std::string, util::ICaseLess> intros;
+    std::set<std::string, util::ICaseLess> assemblies;
+  };
+  /// Plans the push in `plan` as if it travelled alone. Its intros and
+  /// prepaid assemblies skip what `carried` holds and add their own: the
+  /// receiver learns each from the first entry of the frame that carries it.
   [[nodiscard]] SessionPush build_session_push(const std::string& to,
-                                               const SessionObject& object, SessionPlan& plan);
+                                               const SessionObject& object, SessionPlan& plan,
+                                               Carried& carried);
 
   /// One async session push awaiting its ack.
   struct PendingPush {

@@ -9,7 +9,8 @@
 //
 //   admit()              the transports' one admission step: all three.
 //   admit_frame()        frame-size cap + bytes/sec token bucket, charged
-//                        on the message's modelled wire size against the
+//                        on the message's wire_size() (its frame plus its
+//                        simulated assembly bytes, saturating) against the
 //                        transport's virtual clock, BEFORE the handler
 //                        runs — an over-budget peer costs one admission
 //                        check, not a handler execution.
@@ -84,8 +85,8 @@ class PeerQuotaTable {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Admission of one inbound message from `peer` whose modelled wire
-  /// size is `frame_bytes`, at virtual time `now_ns`: enforces the
+  /// Admission of one inbound message from `peer` whose wire_size() is
+  /// `frame_bytes`, at virtual time `now_ns`: enforces the
   /// frame-size cap, then the bytes/sec token bucket. Throws
   /// pti::ResourceExhaustedError on rejection; no budget is consumed by a
   /// rejected frame beyond the tokens it could not afford.

@@ -379,17 +379,8 @@ void SocketTransport::return_connection(std::uint16_t dest_port, int fd) {
 }
 
 Message SocketTransport::exchange_over_wire(const Message& request,
+                                            std::span<const std::uint8_t> frame,
                                             std::uint16_t dest_port) {
-  std::vector<std::uint8_t> frame;
-  try {
-    frame = codec_.encode(request);
-  } catch (const serial::FrameError& e) {
-    // The seam's throw set is NetworkError/TransportError; an unencodable
-    // request (body or list over FrameLimits) must not leak FrameError
-    // out of send(), mirroring the undecodable-response translation below.
-    throw TransportError("request " + std::string(request.kind_name()) +
-                         " is not encodable: " + e.what());
-  }
   for (;;) {
     bool pooled = false;
     const int fd = checkout_connection(dest_port, pooled);
@@ -466,8 +457,21 @@ Message SocketTransport::send(const Message& request) {
   // concurrently (see util/epoch.hpp).
   const util::EpochManager::Pin pin(util::EpochManager::global());
   const std::uint16_t dest_port = resolve_port(request.recipient);
-  if (!charge(request)) throw NetworkError(drop_reason(request, Leg::Request));
-  return exchange_over_wire(request, dest_port);
+  // The charge reads the size encode() measures on its way: one walk.
+  serial::FrameCodec::Size size;
+  std::vector<std::uint8_t> frame;
+  try {
+    frame = codec_.encode(request, &size);
+  } catch (const serial::FrameError& e) {
+    // The seam's throw set is NetworkError/TransportError; an unencodable
+    // request (body or list over FrameLimits) must not leak FrameError
+    // out of send(), mirroring the undecodable-response translation in
+    // exchange_over_wire.
+    throw TransportError("request " + std::string(request.kind_name()) +
+                         " is not encodable: " + e.what());
+  }
+  if (!charge(request, size)) throw NetworkError(drop_reason(request, Leg::Request));
+  return exchange_over_wire(request, frame, dest_port);
 }
 
 std::vector<std::uint8_t> SocketTransport::serve_request(Message request) {
@@ -508,7 +512,16 @@ std::vector<std::uint8_t> SocketTransport::serve_request(Message request) {
   if (!handler_fault.empty()) {
     return encode_fault(codec_, kTransportFault, handler_fault);
   }
-  if (!charge(response)) {
+  serial::FrameCodec::Size size;
+  std::vector<std::uint8_t> frame;
+  try {
+    frame = codec_.encode(response, &size);
+  } catch (const serial::FrameError& e) {
+    return encode_fault(codec_, kTransportFault,
+                        "response to " + std::string(request.kind_name()) +
+                            " is not encodable: " + e.what());
+  }
+  if (!charge(response, size)) {
     // The modelled response drop answers with an unaddressed fault (the
     // other transports' drop wording) instead of a silent close:
     // "connection closed with zero response bytes" must stay unambiguous
@@ -516,13 +529,7 @@ std::vector<std::uint8_t> SocketTransport::serve_request(Message request) {
     // exchange_over_wire's stale-pool retry re-sends exactly in that case.
     return encode_fault(codec_, kNetworkFault, drop_reason(response, Leg::Response));
   }
-  try {
-    return codec_.encode(response);
-  } catch (const serial::FrameError& e) {
-    return encode_fault(codec_, kTransportFault,
-                        "response to " + std::string(request.kind_name()) +
-                            " is not encodable: " + e.what());
-  }
+  return frame;
 }
 
 void SocketTransport::reap_finished_connections() {

@@ -33,19 +33,22 @@
 //     else's, which is what makes single-instance tests exercise the real
 //     serialized path;
 //   * cost accounting: the same per-link latency/bandwidth model as
-//     SimNetwork/AsyncTransport, charged on the virtual clock against the
-//     modelled wire_size() (so byte counts stay comparable across
-//     transports); the *actual* framed bytes moved through the socket are
-//     tracked separately in socket_stats(). The requester charges the
-//     request, the responder charges the response — on a single instance
-//     the totals are identical to SimNetwork's; across instances each
-//     transport counts what it transmits. Per-link drop_probability is
-//     honoured: a dropped request fails before any byte is written, a
-//     dropped response answers with an unaddressed fault frame (worded
-//     like SimNetwork's drop error) — the server never closes a served
-//     request's connection with zero response bytes, which is what lets
-//     the client retry a pooled connection that died before any response
-//     byte arrived without ever re-executing a handler.
+//     SimNetwork/AsyncTransport, charged on the virtual clock against
+//     wire_size(): the frame this transport writes plus the simulated
+//     assembly bytes it carries only as counts, read off the walk that
+//     encodes the frame (a message is encoded, then charged, then sent;
+//     an unencodable one is never charged). socket_stats() counts the
+//     frames alone, as they move through the socket. The requester
+//     charges the request, the responder charges the response — on a
+//     single instance the totals are identical to SimNetwork's; across
+//     instances each transport counts what it transmits. Per-link
+//     drop_probability is honoured: a dropped request fails before any
+//     byte is written, a dropped response answers with an unaddressed
+//     fault frame (worded like SimNetwork's drop error) — the server
+//     never closes a served request's connection with zero response
+//     bytes, which is what lets the client retry a pooled connection that
+//     died before any response byte arrived without ever re-executing a
+//     handler.
 //
 // Endpoint contract (EndpointRegistry's; tests/test_transport.cpp's
 // EndpointContract suite): attach() throws on a duplicate name; detach()
@@ -72,6 +75,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -122,9 +126,9 @@ struct SocketTransportConfig {
   std::uint64_t connect_backoff_max_us = 50'000;
 };
 
-/// Real-byte traffic counters (framed bytes through the sockets), kept
-/// separate from NetStats so the modelled cost numbers stay comparable
-/// with SimNetwork/AsyncTransport while the true wire volume is visible.
+/// Real-byte traffic counters (framed bytes through the sockets). NetStats
+/// charges the same frames plus their simulated assembly bytes, as every
+/// transport does, so per exchange the two differ by exactly those bytes.
 struct SocketStats {
   util::RelaxedCounter connections_accepted;
   util::RelaxedCounter connections_dialed;
@@ -204,12 +208,17 @@ class SocketTransport final : public Transport {
   /// NetworkError when the name has no route and is not attached locally.
   [[nodiscard]] std::uint16_t resolve_port(const std::string& recipient) const;
 
-  /// Charges one traversal (modelled stats + virtual clock); false when
-  /// the per-link drop probability fired.
-  bool charge(const Message& message) { return link_model_.charge(message, stats_, clock_); }
+  /// Charges one traversal (stats + virtual clock) of a message whose
+  /// encode() measured `size`; false when the per-link drop probability
+  /// fired.
+  bool charge(const Message& message, const serial::FrameCodec::Size& size) {
+    return link_model_.charge(message, size.total, stats_, clock_);
+  }
 
-  /// One synchronous framed exchange over a pooled connection.
-  Message exchange_over_wire(const Message& request, std::uint16_t dest_port);
+  /// One synchronous exchange of `request`, encoded as `frame`, over a
+  /// pooled connection.
+  Message exchange_over_wire(const Message& request, std::span<const std::uint8_t> frame,
+                             std::uint16_t dest_port);
 
   /// Server side of one decoded request: dispatch + respond. Always
   /// returns a non-empty encoded frame — a dropped or unencodable

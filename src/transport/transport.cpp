@@ -1,5 +1,7 @@
 #include "transport/transport.hpp"
 
+#include <algorithm>
+
 #include "transport/transport_error.hpp"
 
 namespace pti::transport {
@@ -8,9 +10,12 @@ void charge_traversal(const LinkConfig& link, std::size_t wire_bytes, NetStats& 
                       util::SimClock& clock) noexcept {
   ++stats.messages;
   stats.bytes += wire_bytes;
-  const auto transmit_ns = static_cast<std::uint64_t>(
-      static_cast<double>(wire_bytes) / link.bandwidth_bytes_per_sec * 1e9);
-  clock.advance_ns(link.latency_ns + transmit_ns);
+  // A size saturated by a peer-declared simulated count puts the time past
+  // uint64_t's range, where the conversion would be undefined.
+  constexpr double kMaxTransmitNs = 0x1p63;
+  const double transmit_ns = std::min(
+      static_cast<double>(wire_bytes) / link.bandwidth_bytes_per_sec * 1e9, kMaxTransmitNs);
+  clock.advance_ns(link.latency_ns + static_cast<std::uint64_t>(transmit_ns));
 }
 
 void address_response(const Message& request, Message& response) noexcept {

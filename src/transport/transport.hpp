@@ -15,9 +15,12 @@
 //     backpressure, and the same deterministic virtual-clock cost model;
 //   * SocketTransport (socket_transport.hpp) — the real wire: every
 //     message is serialized by serial::FrameCodec and crosses loopback
-//     TCP as length-prefixed binary frames, with the same cost model
-//     charged on the modelled sizes and the true framed bytes counted
-//     separately.
+//     TCP as length-prefixed binary frames, with the same cost model.
+//
+// Every transport charges a message its Message::wire_size(): the frame
+// FrameCodec writes for it plus the simulated assembly bytes that frame
+// carries only as counts. On SocketTransport those frames are the bytes
+// socket_stats() counts.
 //
 // Endpoint contract (identical for every implementation; EndpointRegistry
 // in endpoint_registry.hpp is its one owner for the concurrent transports,

@@ -9,6 +9,7 @@
 
 #include "core/interop.hpp"
 #include "fixtures/sample_types.hpp"
+#include "tap_transport.hpp"
 #include "transport/sim_network.hpp"
 
 namespace pti::core {
@@ -443,44 +444,12 @@ TEST_F(ApiV2Test, ImportRemoteErrorPaths) {
 
 // --- transport seam ----------------------------------------------------------
 
-/// Transport decorator: counts sends, then delegates to a SimNetwork. The
-/// point of the test is that the whole stack runs against the interface.
-class CountingTransport final : public transport::Transport {
- public:
-  void attach(std::string_view name, Handler handler) override {
-    inner_.attach(name, std::move(handler));
-  }
-  void detach(std::string_view name) override { inner_.detach(name); }
-  [[nodiscard]] bool is_attached(std::string_view name) const noexcept override {
-    return inner_.is_attached(name);
-  }
-  transport::Message send(const transport::Message& request) override {
-    ++sends;
-    return inner_.send(request);
-  }
-  void set_default_link(const transport::LinkConfig& config) noexcept override {
-    inner_.set_default_link(config);
-  }
-  void set_link(std::string_view from, std::string_view to,
-                const transport::LinkConfig& config) override {
-    inner_.set_link(from, to, config);
-  }
-  [[nodiscard]] const transport::NetStats& stats() const noexcept override {
-    return inner_.stats();
-  }
-  void reset_stats() noexcept override { inner_.reset_stats(); }
-  [[nodiscard]] util::SimClock& clock() noexcept override { return inner_.clock(); }
-
-  int sends = 0;
-
- private:
-  transport::SimNetwork inner_;
-};
-
 TEST(ApiV2Transport, SystemRunsOnCustomTransport) {
-  auto transport = std::make_unique<CountingTransport>();
-  CountingTransport& counter = *transport;
-  InteropSystem system(std::move(transport));
+  // A decorator that counts sends: the whole stack runs against the seam.
+  auto tap = std::make_unique<testing_support::TapTransport>();
+  int sends = 0;
+  tap->on_send = [&sends](transport::Message&) { ++sends; };
+  InteropSystem system(std::move(tap));
   auto& alice = system.create_runtime("alice");
   auto& bob = system.create_runtime("bob");
   alice.publish_assembly(fixtures::team_a_people());
@@ -492,7 +461,7 @@ TEST(ApiV2Transport, SystemRunsOnCustomTransport) {
   const auto ack = alice.send("bob", alice.make(alice.type("teamA.Person"), args));
   EXPECT_TRUE(ack.delivered);
   EXPECT_EQ(delivered, 1);
-  EXPECT_GT(counter.sends, 0);  // every protocol message crossed the seam
+  EXPECT_GT(sends, 0);  // every protocol message crossed the seam
   EXPECT_GT(system.network().stats().bytes, 0u);
 }
 

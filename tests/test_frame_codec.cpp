@@ -16,6 +16,7 @@
 //     under the TSan and ASan presets in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <string>
@@ -469,11 +470,9 @@ TEST(FrameCodec, FixedSeedBitFlipCorpusNeverCrashes) {
       }
       try {
         const Message decoded = codec.decode(mutated);
-        // A flip that kept the frame well-formed must yield a message the
-        // codec can re-encode (decode never fabricates unencodable state;
-        // the re-encode may be shorter when a flip produced a redundant
-        // varint spelling, so only re-encodability is asserted).
-        EXPECT_FALSE(codec.encode(decoded).empty());
+        // A flip that kept the frame well-formed must yield a message whose
+        // encoding is the mutated frame itself: decoding is canonical.
+        EXPECT_EQ(codec.encode(decoded), mutated);
         ++survived;
       } catch (const FrameError&) {
         ++rejected;  // classified rejection is the expected outcome
@@ -711,7 +710,10 @@ TEST(FrameCodec, HostileOutcomesArePinned) {
       return;
     }
     ++decoded;
-    digest = util::hash_combine(digest, fnv(util::kFnvOffset64, codec.encode(message)));
+    const std::vector<std::uint8_t> encoded = codec.encode(message);
+    // Canonical decoding: a frame that decodes is its message's encoding.
+    EXPECT_TRUE(std::ranges::equal(encoded, frame)) << message.kind_name();
+    digest = util::hash_combine(digest, fnv(util::kFnvOffset64, encoded));
   };
   for (const Message& message : pinned_corpus()) {
     const std::vector<std::uint8_t> frame = codec.encode(message);
@@ -734,9 +736,82 @@ TEST(FrameCodec, HostileOutcomesArePinned) {
     }
     fold_outcome(cut);
   }
-  EXPECT_EQ(decoded, 3297u);
-  EXPECT_EQ(rejected, 5087u);
-  EXPECT_EQ(digest, 0x489e9a502ccac042ULL);
+  // 26 of the rejected variants would decode under a lenient reader: a
+  // bool byte other than 0 or 1, or a varint longer than its value needs.
+  EXPECT_EQ(decoded, 3271u);
+  EXPECT_EQ(rejected, 5113u);
+  EXPECT_EQ(digest, 0x2ef1f22a231ac9f9ULL);
+}
+
+/// The saturating sum of the counts a message declares for the assembly
+/// code it stands for: what FrameCodec::Size::total adds to the frame.
+std::uint64_t declared_assembly_bytes(const Message& message) {
+  std::uint64_t sum = 0;
+  const auto add = [&sum](std::uint64_t n) {
+    sum = n > ~0ULL - sum ? ~0ULL : sum + n;
+  };
+  if (const auto* p = std::get_if<transport::ObjectPush>(&message.payload)) {
+    add(p->eager_assembly_bytes);
+  } else if (const auto* c = std::get_if<transport::CodeResponse>(&message.payload)) {
+    add(c->code_bytes);
+  } else if (const auto* s = std::get_if<transport::SessionPush>(&message.payload)) {
+    add(s->intro_assembly_bytes);
+  } else if (const auto* b = std::get_if<transport::SessionBatch>(&message.payload)) {
+    for (const auto& entry : b->entries) add(entry.intro_assembly_bytes);
+  }
+  return sum;
+}
+
+TEST(FrameCodec, MeasureIsTheEncodedFramePlusDeclaredAssemblyBytes) {
+  // One byte model: the size the link model and the quota read is the
+  // frame encode() writes, plus the simulated assembly bytes it counts.
+  const FrameCodec codec;
+  std::size_t saturated = 0;
+  for (const Message& message : pinned_corpus()) {
+    const FrameCodec::Size size = FrameCodec::measure(message);
+    const std::uint64_t simulated = declared_assembly_bytes(message);
+    FrameCodec::Size encoded;
+    EXPECT_EQ(size.frame, codec.encode(message, &encoded).size()) << message.kind_name();
+    const bool saturates = simulated > ~0ULL - size.frame;
+    saturated += saturates ? 1 : 0;
+    EXPECT_EQ(size.total, saturates ? ~0ULL : size.frame + simulated) << message.kind_name();
+    EXPECT_EQ(encoded.frame, size.frame);  // encode reports the walk it made
+    EXPECT_EQ(encoded.total, size.total);
+    EXPECT_EQ(message.wire_size(), size.total);
+  }
+  EXPECT_GT(saturated, 0u);  // the corpus declares counts near 2^64
+}
+
+TEST(FrameCodec, MeasureIgnoresTheElementBudget) {
+  // A message in memory allocates nothing per element, so measuring it
+  // never throws, however many list elements it holds; encode still
+  // refuses the frame no peer would decode.
+  transport::TypeInfoRequest request;
+  request.type_names.resize(FrameLimits{}.max_list_elements + 1);
+  const Message message{"a", "b", std::move(request)};
+  EXPECT_EQ(FrameCodec::measure(message).frame, FrameCodec::kHeaderSize + 4 + 3 + 65537);
+  try {
+    (void)FrameCodec{}.encode(message);
+    FAIL() << "over-budget list encoded";
+  } catch (const FrameError& e) {
+    EXPECT_EQ(e.fault(), FrameFault::Oversized);
+  }
+}
+
+TEST(FrameCodec, OnlyTheExactEncodingDecodes) {
+  // A PushAck body: sender "a", recipient "b", delivered, detail. The
+  // canonical spelling decodes; a bool byte of 2 and a zero-length string
+  // spelled 0x80 0x00 name the same message in more bytes, and are Corrupt.
+  const FrameCodec codec;
+  const std::vector<std::uint8_t> canonical = {1, 'a', 1, 'b', 1, 0};
+  const Message decoded = codec.decode(frame_body(1, canonical));
+  EXPECT_TRUE(std::get<transport::PushAck>(decoded.payload).delivered);
+  EXPECT_EQ(codec.encode(decoded), frame_body(1, canonical));
+
+  expect_fault(codec, frame_body(1, {1, 'a', 1, 'b', 2, 0}), FrameFault::Corrupt,
+               "bool byte 2");
+  expect_fault(codec, frame_body(1, {1, 'a', 1, 'b', 1, 0x80, 0x00}), FrameFault::Corrupt,
+               "overlong string length");
 }
 
 TEST(FrameCodec, FrameErrorsClassifyAsSerialization) {

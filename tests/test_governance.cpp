@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <variant>
@@ -410,8 +411,8 @@ struct RefusedRequestCharge {
 template <>
 struct RefusedRequestCharge<SocketTransport> {
   static constexpr std::uint64_t messages = 1;
-  static constexpr std::uint64_t bytes = 79;  // the request's wire_size()
-  static constexpr std::uint64_t clock_ns = 1'006'320;  // 1 ms + 79 B at 100 Mbit/s
+  static constexpr std::uint64_t bytes = 40;  // the request's wire_size()
+  static constexpr std::uint64_t clock_ns = 1'003'200;  // 1 ms + 40 B at 100 Mbit/s
 };
 
 template <class T>
@@ -427,7 +428,7 @@ TYPED_TEST(TransportQuotaRefusal, OversizedFrameIsRefusedAlike) {
     return Message{"server", m.sender, PushAck{true, "ok"}};
   });
   PeerQuotaConfig config;
-  config.max_frame_bytes = 64;
+  config.max_frame_bytes = 32;
   net.set_default_peer_quota(config);
   const Message oversized{"mallory", "server", CodeRequest{"a-code-request"}};
   ASSERT_EQ(oversized.wire_size(), RefusedRequestCharge<SocketTransport>::bytes);
@@ -463,6 +464,37 @@ TYPED_TEST(TransportQuotaRefusal, OversizedFrameIsRefusedAlike) {
   });
   EXPECT_NO_THROW((void)open_net.send(oversized));
   EXPECT_EQ(handled.load(), 1);
+}
+
+TYPED_TEST(TransportQuotaRefusal, WrappingSimulatedCountsAreRefusedAlike) {
+  // Simulated assembly counts are peer-declared u64s, so the size must sum
+  // them saturating: modulo 2^64, this push (a 100,000-byte envelope)
+  // would measure about 1 KB and pass the cap, and so would the batch,
+  // whose entries' counts each fit in 64 bits but whose sum does not.
+  TypeParam net;
+  std::atomic<int> handled{0};
+  net.attach("server", [&handled](const Message& m) {
+    ++handled;
+    return Message{"server", m.sender, PushAck{true, "ok"}};
+  });
+  PeerQuotaConfig config;
+  config.max_frame_bytes = 4096;
+  net.set_default_peer_quota(config);
+
+  transport::ObjectPush push;
+  push.envelope.assign(100'000, 0x42);
+  push.eager_assembly_bytes = 0 - 99'000ULL;  // 2^64 - 99,000
+  transport::SessionBatch batch;
+  batch.entries.resize(2);
+  for (transport::SessionPush& entry : batch.entries) entry.intro_assembly_bytes = 1ULL << 63;
+  for (const Message& hostile :
+       {Message{"mallory", "server", push}, Message{"mallory", "server", batch}}) {
+    EXPECT_EQ(hostile.wire_size(), std::numeric_limits<std::size_t>::max());
+    EXPECT_THROW((void)net.send(hostile), pti::ResourceExhaustedError) << hostile.kind_name();
+  }
+  ASSERT_NE(net.peer_quotas(), nullptr);
+  EXPECT_EQ(net.peer_quotas()->stats().rejected_frame_size, 2u);
+  EXPECT_EQ(handled.load(), 0);
 }
 
 TEST(TransportQuota, SimNetworkChargesTypeInfoNames) {
@@ -521,9 +553,10 @@ TEST(TransportQuota, RateLimitRecoversOnVirtualClock) {
     return Message{"server", m.sender, PushAck{true, "ok"}};
   });
   PeerQuotaConfig config;
-  config.bytes_per_sec = 100;  // one ~66-byte request fits, two do not
+  config.bytes_per_sec = 100;  // one 66-byte request fits, two do not
   net.set_default_peer_quota(config);
-  const Message request{"mallory", "server", CodeRequest{"x"}};
+  const Message request{"mallory", "server", CodeRequest{std::string(40, 'x')}};
+  ASSERT_EQ(request.wire_size(), 66u);
   (void)net.send(request);  // drains most of the bucket
   EXPECT_THROW((void)net.send(request), pti::ResourceExhaustedError);
   // The bucket refills on the transport's virtual clock.

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -24,8 +25,10 @@
 #include <vector>
 
 #include "core/resource_governor.hpp"
+#include "fixtures/sample_types.hpp"
 #include "protocol_fuzz_common.hpp"
 #include "push_shapes.hpp"
+#include "tap_transport.hpp"
 #include "transport/assembly_hub.hpp"
 #include "transport/async_transport.hpp"
 #include "transport/intro_registry.hpp"
@@ -230,6 +233,140 @@ TEST(SessionLayer, BatchedWindowTravelsAsOneFrame) {
   EXPECT_EQ(receiver.stats().session_resets, 0u);
   EXPECT_EQ(sender.stats().session_retries, 0u);
   EXPECT_EQ(receiver.delivered_snapshot().size(), 4u);
+}
+
+/// alice (teamA) and bob (interested in teamB.Person) with batching
+/// windows of `max_batch`; bob has never heard from alice. Every
+/// SessionBatch alice sends passes through `on_batch` on its way in.
+struct FirstContact {
+  explicit FirstContact(std::size_t max_batch, ProtocolMode mode = ProtocolMode::Optimistic)
+      : hub(std::make_shared<AssemblyHub>()),
+        alice("alice", net, hub, config(max_batch, mode)),
+        bob("bob", net, hub, config(max_batch, mode)) {
+    alice.host_assembly(fixtures::team_a_people());
+    bob.host_assembly(fixtures::team_b_people());
+    bob.add_interest("teamB.Person");
+    net.on_send = [this](Message& request) {
+      if (auto* batch = std::get_if<SessionBatch>(&request.payload); batch && on_batch) {
+        on_batch(*batch);
+      }
+    };
+  }
+  static PeerConfig config(std::size_t max_batch, ProtocolMode mode) {
+    PeerConfig config{.mode = mode, .use_sessions = true};
+    config.session.max_batch = max_batch;
+    return config;
+  }
+  std::shared_ptr<reflect::DynObject> address() {
+    const reflect::Value args[] = {reflect::Value("Main St"),
+                                   reflect::Value(std::int32_t{42})};
+    return alice.domain().instantiate("teamA.Address", args);
+  }
+  /// A Person with an Address: both types travel in the envelope.
+  std::shared_ptr<reflect::DynObject> person(const std::string& name) {
+    const reflect::Value args[] = {reflect::Value(name)};
+    auto person = alice.domain().instantiate("teamA.Person", args);
+    person->set("address", reflect::Value(address()));
+    return person;
+  }
+
+  testing_support::TapTransport net;
+  std::function<void(SessionBatch&)> on_batch;
+  std::shared_ptr<AssemblyHub> hub;
+  Peer alice;
+  Peer bob;
+};
+
+TEST(SessionLayer, FirstContactWindowCarriesEachIntroOnce) {
+  // Four first-contact pushes in one window: every entry plans its types
+  // as fresh (nothing is committed before the ack), but only the first
+  // entry carries the intros, and the others resolve on the bindings the
+  // receiver learns from it. In Eager mode the first entry alone also
+  // prepays the assembly.
+  for (const ProtocolMode mode : {ProtocolMode::Optimistic, ProtocolMode::Eager}) {
+    const bool eager = mode == ProtocolMode::Eager;
+    SCOPED_TRACE(eager ? "eager" : "optimistic");
+    FirstContact peers(4, mode);
+    std::vector<SessionBatch> batches;
+    peers.on_batch = [&batches](SessionBatch& batch) { batches.push_back(batch); };
+    std::vector<std::future<PushAck>> acks;
+    for (int i = 0; i < 4; ++i) {
+      acks.push_back(
+          peers.alice.send_object_async("bob", peers.person("P" + std::to_string(i))));
+    }
+    for (auto& ack : acks) {
+      const PushAck delivered = ack.get();
+      EXPECT_TRUE(delivered.delivered) << delivered.detail;
+    }
+    ASSERT_EQ(batches.size(), 1u);
+    const SessionBatch& batch = batches.front();
+    ASSERT_EQ(batch.entries.size(), 4u);
+    std::size_t intros = 0;
+    std::size_t xml_bytes = 0;
+    for (const SessionPush& entry : batch.entries) {
+      intros += entry.intros.size();
+      for (const SessionIntro& intro : entry.intros) xml_bytes += intro.description_xml.size();
+    }
+    EXPECT_EQ(batch.entries.front().intros.size(), 3u);  // Person, Address, INamed
+    EXPECT_EQ(intros, 3u);
+    EXPECT_EQ(xml_bytes, 1620u);
+    const SessionPush& first = batch.entries.front();
+    EXPECT_EQ(first.intro_assembly_names,
+              eager ? std::vector<std::string>{"teamA.people"} : std::vector<std::string>{});
+    EXPECT_EQ(first.intro_assembly_bytes > 0, eager);
+    for (std::size_t i = 1; i < batch.entries.size(); ++i) {
+      EXPECT_TRUE(batch.entries[i].intro_assembly_names.empty()) << "entry " << i;
+      EXPECT_EQ(batch.entries[i].intro_assembly_bytes, 0u) << "entry " << i;
+    }
+    EXPECT_EQ(peers.bob.stats().session_resets, 0u);
+    EXPECT_EQ(peers.alice.stats().session_retries, 0u);
+    EXPECT_EQ(peers.bob.delivered_snapshot().size(), 4u);
+  }
+}
+
+TEST(SessionLayer, EagerWindowPrepaysEachAssemblyOnce) {
+  // An entry that still carries some intros skips the assemblies an
+  // earlier entry of the same frame prepaid: entry 0 (an Address) prepays
+  // teamA.people, and entry 1 (a Person with an Address) introduces Person
+  // and INamed but ships no assembly bytes.
+  FirstContact peers(2, ProtocolMode::Eager);
+  std::vector<SessionBatch> batches;
+  peers.on_batch = [&batches](SessionBatch& batch) { batches.push_back(batch); };
+  std::future<PushAck> address = peers.alice.send_object_async("bob", peers.address());
+  std::future<PushAck> person = peers.alice.send_object_async("bob", peers.person("Ada"));
+  EXPECT_FALSE(address.get().delivered);  // bob wants Persons only
+  const PushAck landed = person.get();
+  EXPECT_TRUE(landed.delivered) << landed.detail;
+
+  ASSERT_EQ(batches.size(), 1u);
+  const SessionBatch& batch = batches.front();
+  ASSERT_EQ(batch.entries.size(), 2u);
+  EXPECT_EQ(batch.entries[0].intros.size(), 1u);  // Address
+  EXPECT_EQ(batch.entries[0].intro_assembly_names, std::vector<std::string>{"teamA.people"});
+  EXPECT_GT(batch.entries[0].intro_assembly_bytes, 0u);
+  EXPECT_EQ(batch.entries[1].intros.size(), 2u);  // Person, INamed
+  EXPECT_TRUE(batch.entries[1].intro_assembly_names.empty());
+  EXPECT_EQ(batch.entries[1].intro_assembly_bytes, 0u);
+  EXPECT_EQ(peers.bob.stats().code_requests, 0u);  // the prepay served both
+}
+
+TEST(SessionLayer, LaterEntryReplaysOnceWhenTheCarryingEntryFails) {
+  // Entry 0 carries the window's intros and fails while learning them (its
+  // description XML is corrupted in transit). Entry 1 then names a wire id
+  // bob never learned: bob answers Reset, and entry 1 lands after exactly
+  // one replay, with its own intros under a new token.
+  FirstContact peers(2);
+  peers.on_batch = [](SessionBatch& batch) {
+    for (SessionIntro& intro : batch.entries.front().intros) intro.description_xml = "<broken";
+  };
+  std::future<PushAck> first = peers.alice.send_object_async("bob", peers.person("First"));
+  std::future<PushAck> second = peers.alice.send_object_async("bob", peers.person("Second"));
+  EXPECT_ANY_THROW((void)first.get());
+  const PushAck landed = second.get();
+  EXPECT_TRUE(landed.delivered) << landed.detail;
+  EXPECT_EQ(peers.bob.stats().session_resets, 1u);
+  EXPECT_EQ(peers.alice.stats().session_retries, 1u);
+  EXPECT_EQ(peers.bob.delivered_snapshot().size(), 1u);
 }
 
 TEST(SessionLayer, PartialWindowFlushesOnSyncSendAndExplicitFlush) {

@@ -646,7 +646,8 @@ TEST(ScenarioEquivalence, InvertedIndexAndPerPeerScanProduceIdenticalRuns) {
 // exactly.) The dense population repeats (publisher, target) pairs, so
 // frames carry several entries, and the long partitions cause drops.
 // Regenerate these values only for a deliberate change to the protocol's
-// wire or the scenario's event stream.
+// wire or the scenario's event stream. (net_bytes counts frame bytes plus
+// simulated assembly bytes, Message::wire_size().)
 TEST(ScenarioGolden, FixedSeedDigestsArePinned) {
   ScenarioConfig config;
   config.seed = 43;
@@ -666,8 +667,8 @@ TEST(ScenarioGolden, FixedSeedDigestsArePinned) {
   const ScenarioResult cold = sim::run_scenario(config, script);
   EXPECT_EQ(cold.trace_digest, 0x84d3444a0de2478fULL);
   EXPECT_EQ(cold.accept_digest, 0xbb0a59d715db786bULL);
-  EXPECT_EQ(cold.stats_digest, 0x59db0cbda82e6e2aULL);
-  EXPECT_EQ(cold.stats.net_bytes, 8365870u);
+  EXPECT_EQ(cold.stats_digest, 0x24e22c38246e6a22ULL);
+  EXPECT_EQ(cold.stats.net_bytes, 7733933u);
   EXPECT_EQ(cold.stats.drops, 10u);
 
   config.use_sessions = true;
@@ -675,8 +676,8 @@ TEST(ScenarioGolden, FixedSeedDigestsArePinned) {
   const ScenarioResult batched = sim::run_scenario(config, script);
   EXPECT_EQ(batched.trace_digest, 0x3c2f471e140578afULL);
   EXPECT_EQ(batched.accept_digest, 0xbb0a59d715db786bULL);
-  EXPECT_EQ(batched.stats_digest, 0xb64007d45d3c87e7ULL);
-  EXPECT_EQ(batched.stats.net_bytes, 6838328u);
+  EXPECT_EQ(batched.stats_digest, 0x475cabe700330759ULL);
+  EXPECT_EQ(batched.stats.net_bytes, 6145301u);
   EXPECT_EQ(batched.stats.session_batch_frames, 7136u);
   EXPECT_EQ(batched.stats.session_batch_entries, 9000u);
 
@@ -685,8 +686,8 @@ TEST(ScenarioGolden, FixedSeedDigestsArePinned) {
   const ScenarioResult unbatched = sim::run_scenario(config, script);
   EXPECT_EQ(unbatched.trace_digest, 0x84d3444a0de2478fULL);
   EXPECT_EQ(unbatched.accept_digest, 0xbb0a59d715db786bULL);
-  EXPECT_EQ(unbatched.stats_digest, 0x9dc52ffbcf9dab3dULL);
-  EXPECT_EQ(unbatched.stats.net_bytes, 6981780u);
+  EXPECT_EQ(unbatched.stats_digest, 0x4c1b5cdd63e101d1ULL);
+  EXPECT_EQ(unbatched.stats.net_bytes, 6197224u);
   EXPECT_EQ(unbatched.stats.session_batch_frames, 0u);
 
   // Eager batched sessions: intros prepay their assemblies.
@@ -695,8 +696,8 @@ TEST(ScenarioGolden, FixedSeedDigestsArePinned) {
   const ScenarioResult eager = sim::run_scenario(config, script);
   EXPECT_EQ(eager.trace_digest, 0x3c2f471e140578afULL);
   EXPECT_EQ(eager.accept_digest, 0xbb0a59d715db786bULL);
-  EXPECT_EQ(eager.stats_digest, 0xa275a23b357583b1ULL);
-  EXPECT_EQ(eager.stats.net_bytes, 13949540u);
+  EXPECT_EQ(eager.stats_digest, 0x8488353e1c6f7801ULL);
+  EXPECT_EQ(eager.stats.net_bytes, 13259469u);
   EXPECT_EQ(eager.stats.code_requests, 0u);
 }
 

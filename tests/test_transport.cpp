@@ -12,10 +12,14 @@
 #include <semaphore>
 #include <thread>
 #include <tuple>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "core/interop.hpp"
 #include "fixtures/sample_types.hpp"
 #include "push_shapes.hpp"
+#include "serial/frame_codec.hpp"
 #include "transport/assembly_hub.hpp"
 #include "transport/async_transport.hpp"
 #include "transport/peer.hpp"
@@ -502,6 +506,71 @@ TYPED_TEST(EndpointContract, UnknownRecipientIsANetworkError) {
   EXPECT_THROW((void)net.send(Message{"a", "ghost", CodeRequest{"x"}}), NetworkError);
   std::future<Message> future = net.send_async(Message{"a", "ghost", CodeRequest{"x"}});
   EXPECT_THROW((void)future.get(), NetworkError);
+}
+
+// --- one byte model ----------------------------------------------------------
+//
+// Every transport charges NetStats what Message::wire_size() measures: the
+// frame FrameCodec writes plus the simulated assembly bytes it counts. On
+// SocketTransport the frames are the bytes that really cross the socket.
+
+template <class T>
+class ByteModel : public ::testing::Test {};
+TYPED_TEST_SUITE(ByteModel, testing_support::AllTransports, testing_support::TransportName);
+
+TYPED_TEST(ByteModel, NetStatsChargeFramesPlusSimulatedBytes) {
+  SessionPush warm;
+  warm.token = 7;
+  warm.wire_types = {1};
+  warm.encoding = "binary";
+  warm.payload.assign(64, 0x5A);
+  SessionPush intro = warm;
+  intro.intros.push_back({2, "teamA.Address", "<type/>", "teamA.people", "net://a/p"});
+  intro.intro_assembly_names = {"teamA.people"};
+  intro.intro_assembly_bytes = 700;
+  SessionPush prepaid = warm;
+  prepaid.intro_assembly_bytes = 300;
+  ObjectPush push;
+  push.envelope.assign(300, 0x42);
+  push.eager_descriptions_xml = {"<type name=\"teamA.Person\"/>"};
+  push.eager_assembly_names = {"teamA.people"};
+  push.eager_assembly_bytes = 5000;
+  const SessionAck ok{SessionStatus::Ok, true, "teamB.Person", {}};
+  // Request and response payloads, with 5000 + 4096 + 700 + 300 simulated
+  // bytes among them.
+  const std::vector<std::pair<MessagePayload, MessagePayload>> exchanges = {
+      {push, PushAck{true, "teamB.Person"}},
+      {TypeInfoRequest{{"teamA.Person"}}, TypeInfoResponse{{"<type/>"}, {}}},
+      {CodeRequest{"teamA.people"}, CodeResponse{"teamA.people", true, 4096}},
+      {SessionBatch{{warm, intro}}, SessionBatchAck{{ok, ok}}},
+      {prepaid, ok}};
+  constexpr std::uint64_t kSimulated = 5000 + 4096 + 700 + 300;
+
+  TypeParam net;
+  std::atomic<std::size_t> next{0};
+  net.attach("server", [&](const Message& m) {
+    return Message{"server", m.sender, exchanges[next++].second};
+  });
+  std::uint64_t modelled = 0;
+  std::uint64_t frames = 0;
+  const serial::FrameCodec codec;
+  const std::uint64_t bytes_before = net.stats().bytes;
+  std::uint64_t sent_before = 0;
+  if constexpr (std::is_same_v<TypeParam, SocketTransport>) {
+    sent_before = net.socket_stats().wire_bytes_sent;
+  }
+  for (const auto& [request, response] : exchanges) {
+    const Message out{"client", "server", request};
+    const Message back{"server", "client", response};
+    (void)net.send(out);
+    modelled += out.wire_size() + back.wire_size();
+    frames += codec.encode(out).size() + codec.encode(back).size();
+  }
+  EXPECT_EQ(net.stats().bytes - bytes_before, modelled);
+  EXPECT_EQ(modelled, frames + kSimulated);
+  if constexpr (std::is_same_v<TypeParam, SocketTransport>) {
+    EXPECT_EQ(net.socket_stats().wire_bytes_sent - sent_before, frames);
+  }
 }
 
 template <class T>
