@@ -9,8 +9,8 @@
 //
 // Keys are (source name id, target name id, options fingerprint): the
 // interned ids are case-folded once at TypeDescription construction, so a
-// lookup is a hash-combine of three integers and an open probe — no string
-// building, no case folding, zero heap allocations.
+// lookup is a mixed hash-combine of three integers and an open probe — no
+// string building, no case folding, zero heap allocations.
 //
 // Thread safety: the cache is sharded 16 ways by key hash. Each shard
 // keeps a node-based map as the authoritative store (writers take the
@@ -79,6 +79,17 @@ class ConformanceCache {
     std::uint64_t options_fingerprint = 0;
 
     bool operator==(const Key&) const noexcept = default;
+  };
+
+  /// The key's hash: the read index takes its slot from the low bits and
+  /// its tag from all of it. pair_key puts the source id in the high half
+  /// and hash_combine carries bits only upward, so the whole combination
+  /// is mixed: otherwise every source of one target shares one home slot.
+  struct KeyHash {
+    [[nodiscard]] std::size_t operator()(const Key& k) const noexcept {
+      return static_cast<std::size_t>(util::mix64(
+          util::hash_combine(util::pair_key(k.source, k.target), k.options_fingerprint)));
+    }
   };
 
   /// Lock-free probe of one shard's read index; the returned pointer is
@@ -159,14 +170,6 @@ class ConformanceCache {
  private:
   static constexpr std::size_t kShardCount = 16;
   static constexpr std::size_t kInitialSlots = 256;  // per shard, power of two
-
-  struct KeyHash {
-    [[nodiscard]] std::size_t operator()(const Key& k) const noexcept {
-      return static_cast<std::size_t>(util::hash_combine(
-          util::pair_key(k.source, k.target) * 0x9E3779B97F4A7C15ULL,
-          k.options_fingerprint));
-    }
-  };
 
   struct ShardStats {
     std::atomic<std::uint64_t> hits{0};

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 
 #include "transport/transport_error.hpp"
 #include "util/epoch.hpp"
+#include "util/hash.hpp"
 
 namespace pti::transport {
 
@@ -49,8 +51,8 @@ constexpr std::string_view kResourceFault = "resource|";
 /// 128 bytes of body budget for the prefix, the truncation marker and the
 /// frame's own string/length overhead; together with the constructor's
 /// kMinBodyBytes floor this makes fault frames encodable under every
-/// constructible FrameLimits — the invariant the client's stale-pool
-/// retry rests on.
+/// constructible FrameLimits — the invariant the client's retry rule rests
+/// on.
 [[nodiscard]] std::vector<std::uint8_t> encode_fault(const serial::FrameCodec& codec,
                                                      std::string_view prefix,
                                                      std::string_view reason) {
@@ -68,21 +70,24 @@ constexpr std::string_view kResourceFault = "resource|";
   return codec.encode(fault);
 }
 
-[[noreturn]] void raise_fault(const ErrorReply& fault) {
+/// The error a fault frame carries, classified by its reason prefix so the
+/// requesting side rethrows what the serving side raised.
+[[nodiscard]] std::exception_ptr fault_error(const ErrorReply& fault) {
   const std::string& reason = fault.message;
   if (reason.starts_with(kNetworkFault)) {
-    throw NetworkError(reason.substr(kNetworkFault.size()));
+    return std::make_exception_ptr(NetworkError(reason.substr(kNetworkFault.size())));
   }
   if (reason.starts_with(kTransportFault)) {
-    throw TransportError(reason.substr(kTransportFault.size()));
+    return std::make_exception_ptr(TransportError(reason.substr(kTransportFault.size())));
   }
   if (reason.starts_with(kResourceFault)) {
     // Quota rejection on the serving side: re-raise with the same
     // classification (core::ErrorCode::ResourceExhausted) the in-process
     // transports throw, so callers branch identically on any transport.
-    throw pti::ResourceExhaustedError(reason.substr(kResourceFault.size()));
+    return std::make_exception_ptr(
+        pti::ResourceExhaustedError(reason.substr(kResourceFault.size())));
   }
-  throw TransportError(reason);
+  return std::make_exception_ptr(TransportError(reason));
 }
 
 enum class ReadStatus { Ok, Eof, Error };
@@ -149,21 +154,56 @@ ReadStatus read_exact(int fd, std::uint8_t* buffer, std::size_t n,
   return ReadStatus::Ok;
 }
 
-/// Writes all n bytes; MSG_NOSIGNAL keeps a closed peer from raising
-/// SIGPIPE (the failure surfaces as an error return instead).
-[[nodiscard]] bool write_all(int fd, const std::uint8_t* buffer, std::size_t n) noexcept {
-  std::size_t sent = 0;
-  while (sent < n) {
-    const ssize_t r = ::send(fd, buffer + sent, n - sent, MSG_NOSIGNAL);
-    if (r > 0) {
-      sent += static_cast<std::size_t>(r);
-      continue;
-    }
+/// Requests in one run; also the most frames one write_frames() call takes.
+constexpr std::size_t kMaxRun = 64;
+
+/// Request bytes a run may have on the wire unanswered. The server answers a
+/// connection's requests in order and may block writing a reply until this
+/// side reads it. Unanswered requests that fit in the kernel's socket buffers
+/// (128 KiB of receive buffer alone by default on Linux) let every write
+/// finish without the server reading, so the two sides never wait on each
+/// other. A larger frame is written only when nothing is unanswered.
+constexpr std::size_t kMaxUnansweredBytes = 64 * 1024;
+
+/// Writes the frames back to back straight from their buffers (one sendmsg
+/// while the kernel takes them all) and returns how many were written whole:
+/// all of them unless the connection failed. MSG_NOSIGNAL keeps a closed peer
+/// from raising SIGPIPE (the failure surfaces as a short count instead).
+[[nodiscard]] std::size_t write_frames(int fd, std::span<iovec> frames) noexcept {
+  std::size_t whole = 0;
+  while (whole < frames.size()) {
+    msghdr message{};
+    message.msg_iov = frames.data() + whole;
+    message.msg_iovlen = frames.size() - whole;
+    const ssize_t r = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (r < 0 && errno == EINTR) continue;
-    return false;
+    if (r <= 0) break;
+    for (auto left = static_cast<std::size_t>(r); left > 0;) {
+      iovec& front = frames[whole];
+      const std::size_t step = std::min(left, front.iov_len);
+      front.iov_base = static_cast<std::uint8_t*>(front.iov_base) + step;
+      front.iov_len -= step;
+      left -= step;
+      if (front.iov_len == 0) ++whole;
+    }
   }
-  return true;
+  return whole;
 }
+
+[[nodiscard]] bool write_all(int fd, std::span<const std::uint8_t> bytes) noexcept {
+  iovec frame{const_cast<std::uint8_t*>(bytes.data()), bytes.size()};
+  return write_frames(fd, {&frame, 1}) == 1;
+}
+
+/// Closes a connection on every exit path unless it was handed back to the
+/// pool.
+struct FdGuard {
+  int fd = -1;
+  ~FdGuard() {
+    if (fd >= 0) ::close(fd);
+  }
+  int release() noexcept { return std::exchange(fd, -1); }
+};
 
 void set_nodelay(int fd) noexcept {
   const int one = 1;
@@ -334,12 +374,9 @@ int SocketTransport::dial(std::uint16_t dest_port) {
     // Capped exponential backoff with up to +50% SplitMix jitter, so a
     // herd of clients dialing a restarting server spreads out instead of
     // re-colliding on the same schedule.
-    std::uint64_t z = dial_rng_.fetch_add(0x9E3779B97F4A7C15ULL,
-                                          std::memory_order_relaxed) +
-                      0x9E3779B97F4A7C15ULL;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    z ^= z >> 31;
+    const std::uint64_t z = util::mix64(
+        dial_rng_.fetch_add(0x9E3779B97F4A7C15ULL, std::memory_order_relaxed) +
+        0x9E3779B97F4A7C15ULL);
     const std::uint64_t jitter_us = backoff_us == 0 ? 0 : z % (backoff_us / 2 + 1);
     std::this_thread::sleep_for(std::chrono::microseconds(backoff_us + jitter_us));
     backoff_us = std::min(backoff_us * 2, std::max<std::uint64_t>(
@@ -378,100 +415,165 @@ void SocketTransport::return_connection(std::uint16_t dest_port, int fd) {
   idle_connections_[dest_port].push_back(fd);
 }
 
-Message SocketTransport::exchange_over_wire(const Message& request,
-                                            std::span<const std::uint8_t> frame,
-                                            std::uint16_t dest_port) {
-  for (;;) {
-    bool pooled = false;
-    const int fd = checkout_connection(dest_port, pooled);
-    struct FdGuard {
-      int fd;
-      bool armed = true;
-      ~FdGuard() {
-        if (armed) ::close(fd);
+// One exchange path serves send() (a run of one) and the outbound workers'
+// runs. The server reads a connection's frames in order and answers each one
+// before reading the next, so a run's frames may go out back to back and its
+// replies come back in run order, with no correlation ids.
+template <class Done>
+void SocketTransport::exchange_run(std::span<const Message* const> run, Done&& done) {
+  const std::size_t n = run.size();
+  std::size_t next = 0;  // the requests before `next` are complete
+  const auto fail_rest = [&](const auto& error_for) {
+    for (; next < n; ++next) done(next, Message{}, error_for(*run[next]));
+  };
+  try {
+    if (shutdown_.load(std::memory_order_acquire)) {
+      throw TransportError("transport is shutting down");
+    }
+    // Epoch pin for the whole run: the link-cost model and routing read
+    // interned names lock-free, and a ResourceGovernor may be sweeping
+    // concurrently (see util/epoch.hpp).
+    const util::EpochManager::Pin pin(util::EpochManager::global());
+    const std::uint16_t dest_port = resolve_port(run.front()->recipient);
+
+    // Each request is encoded, then charged the size encode() measured on
+    // its way. One that cannot be encoded or that the link model drops
+    // fails alone, before any of its bytes move.
+    struct Frame {
+      std::vector<std::uint8_t> bytes;
+      std::exception_ptr early;  ///< set when the request never goes out
+    };
+    std::vector<Frame> frames(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Message& request = *run[i];
+      serial::FrameCodec::Size size;
+      try {
+        frames[i].bytes = codec_.encode(request, &size);
+        if (!charge(request, size)) {
+          frames[i].early =
+              std::make_exception_ptr(NetworkError(drop_reason(request, Leg::Request)));
+        }
+      } catch (const serial::FrameError& e) {
+        // The seam's throw set is NetworkError/TransportError: a request
+        // over FrameLimits must not leak FrameError.
+        frames[i].early = std::make_exception_ptr(TransportError(
+            "request " + std::string(request.kind_name()) + " is not encodable: " + e.what()));
       }
-    } guard{fd};
+    }
+    const auto cut = [&](std::string_view what) {
+      fail_rest([&](const Message& request) {
+        return std::make_exception_ptr(
+            NetworkError("connection to 127.0.0.1:" + std::to_string(dest_port) + " " +
+                         std::string(what) + " " + request.kind_name()));
+      });
+    };
 
-    // A pooled connection can die between checkout's liveness probe and
-    // its use here (the server closing it races with checkout). The server
-    // never closes a connection with zero response bytes after reading a
-    // request (served, dropped and faulting requests all answer with at
-    // least a fault frame), so a close before the first response byte
-    // proves the request was never served: the stale connection is
-    // discarded and the exchange retried on another (the pool is finite;
-    // once it drains, checkout dials fresh). Only a failure on a freshly
-    // dialed connection — or one mid-response, where a retry could
-    // re-execute the handler — is reported.
-    if (!write_all(fd, frame.data(), frame.size())) {
-      if (pooled) continue;
-      throw NetworkError("connection to 127.0.0.1:" + std::to_string(dest_port) +
-                         " failed while sending " + request.kind_name());
-    }
-    ++socket_stats_.frames_sent;
-    socket_stats_.wire_bytes_sent += frame.size();
+    // The retry rule. The server answers every request it reads (a served,
+    // dropped or faulting request gets at least a fault frame) and aborts
+    // with RST a connection it cannot answer on, so a clean close where
+    // reply k should begin proves it never read request k. Requests k on
+    // are then re-sent on another connection if this one made progress (it
+    // came from the finite pool, or answered an earlier request), and fail
+    // otherwise. Any other cut gives no such proof, since the server may
+    // have run a handler: it fails request k and every later one.
+    FdGuard connection;
+    bool progress = false;       // a clean close here licenses a re-send
+    bool in_sync = true;         // no fault frame: the stream may be pooled
+    std::size_t written = 0;     // requests before it are on this connection
+    std::size_t unanswered = 0;  // their bytes the replies have not covered
+    bool write_failed = false;
+    while (next < n) {
+      if (frames[next].early) {
+        done(next, Message{}, frames[next].early);
+        ++next;
+        continue;
+      }
+      if (connection.fd < 0) {
+        connection.fd = checkout_connection(dest_port, progress);
+        in_sync = true;
+        written = next;
+        unanswered = 0;
+        write_failed = false;
+      }
+      // Top up the pipeline: write what follows while the unanswered bytes
+      // stay under the bound.
+      std::array<iovec, kMaxRun> batch;
+      std::array<std::size_t, kMaxRun> batched;  // their run indices
+      std::size_t count = 0;
+      std::size_t end = written;
+      for (; !write_failed && end < n && count < kMaxRun; ++end) {
+        std::vector<std::uint8_t>& bytes = frames[end].bytes;
+        if (frames[end].early) continue;
+        if (unanswered > 0 && unanswered + bytes.size() > kMaxUnansweredBytes) break;
+        unanswered += bytes.size();
+        batched[count] = end;
+        batch[count++] = iovec{bytes.data(), bytes.size()};
+      }
+      if (count > 0) {
+        const std::size_t whole = write_frames(connection.fd, {batch.data(), count});
+        socket_stats_.frames_sent += whole;
+        for (std::size_t b = 0; b < whole; ++b) {
+          socket_stats_.wire_bytes_sent += frames[batched[b]].bytes.size();
+        }
+        write_failed = whole < count;
+        written = write_failed ? batched[whole] : end;
+      }
 
-    Message response;
-    ReadStatus status = ReadStatus::Error;
-    try {
-      status = read_frame(fd, codec_, socket_stats_, response);
-    } catch (const serial::FrameError& e) {
-      // The peer is not speaking our protocol (version skew, corruption):
-      // surface it through the documented transport error family instead
-      // of leaking serial::FrameError out of send().
-      throw NetworkError("undecodable response frame from 127.0.0.1:" +
-                         std::to_string(dest_port) + ": " + e.what());
+      // A frame that was not written whole was never read: a clean close.
+      Message response;
+      ReadStatus status = ReadStatus::Eof;
+      if (next < written) {
+        try {
+          status = read_frame(connection.fd, codec_, socket_stats_, response);
+        } catch (const serial::FrameError& e) {
+          // The peer is not speaking our protocol (version skew, corruption).
+          cut(std::string("gave an undecodable response (") + e.what() + ") to");
+          return;
+        }
+      }
+      if (status == ReadStatus::Eof && progress) {
+        ::close(connection.release());  // re-send from `next`
+        continue;
+      }
+      if (next >= written) {
+        cut("failed while sending");
+        return;
+      }
+      if (status != ReadStatus::Ok) {
+        cut(status == ReadStatus::Eof ? "closed before the response to"
+                                      : "was cut inside the response to");
+        return;
+      }
+      progress = true;
+      unanswered -= frames[next].bytes.size();
+      if (is_fault(response)) {
+        // A fault answers its own request alone. The server keeps serving
+        // after a handler fault and closes after a frame fault, so reading
+        // on is safe, but the stream may be out of step: never pool it.
+        in_sync = false;
+        done(next, Message{}, fault_error(std::get<ErrorReply>(response.payload)));
+      } else {
+        done(next, std::move(response), nullptr);
+      }
+      ++next;
     }
-    if (status == ReadStatus::Eof) {
-      // Retry only a *clean* zero-byte close (Eof): every deliberate
-      // server close after reading a request first writes at least a
-      // fault frame, so a clean FIN with no response bytes proves the
-      // request was never served. An abort (ECONNRESET and friends) or a
-      // cut mid-frame gives no such proof — the server may have died
-      // mid-handler — so it is reported, never retried.
-      if (pooled) continue;
-      throw NetworkError("connection closed before a response to " +
-                         std::string(request.kind_name()) +
-                         " arrived (response dropped?)");
-    }
-    if (status != ReadStatus::Ok) {
-      throw NetworkError("connection cut before the whole response to " +
-                         std::string(request.kind_name()) + " arrived");
-    }
-
-    if (is_fault(response)) {
-      // Fault frames may follow a desynced stream; never pool the connection.
-      raise_fault(std::get<ErrorReply>(response.payload));
-    }
-    guard.armed = false;
-    return_connection(dest_port, fd);
-    return response;
+    if (connection.fd >= 0 && in_sync) return_connection(dest_port, connection.release());
+  } catch (...) {
+    const std::exception_ptr error = std::current_exception();
+    fail_rest([&](const Message&) { return error; });
   }
 }
 
 Message SocketTransport::send(const Message& request) {
-  if (shutdown_.load(std::memory_order_acquire)) {
-    throw TransportError("transport is shutting down");
-  }
-  // Epoch pin for the whole exchange: the link-cost model and routing read
-  // interned names lock-free, and a ResourceGovernor may be sweeping
-  // concurrently (see util/epoch.hpp).
-  const util::EpochManager::Pin pin(util::EpochManager::global());
-  const std::uint16_t dest_port = resolve_port(request.recipient);
-  // The charge reads the size encode() measures on its way: one walk.
-  serial::FrameCodec::Size size;
-  std::vector<std::uint8_t> frame;
-  try {
-    frame = codec_.encode(request, &size);
-  } catch (const serial::FrameError& e) {
-    // The seam's throw set is NetworkError/TransportError; an unencodable
-    // request (body or list over FrameLimits) must not leak FrameError
-    // out of send(), mirroring the undecodable-response translation in
-    // exchange_over_wire.
-    throw TransportError("request " + std::string(request.kind_name()) +
-                         " is not encodable: " + e.what());
-  }
-  if (!charge(request, size)) throw NetworkError(drop_reason(request, Leg::Request));
-  return exchange_over_wire(request, frame, dest_port);
+  Message response;
+  std::exception_ptr error;
+  const Message* const run[] = {&request};
+  exchange_run(run, [&](std::size_t, Message reply, std::exception_ptr failure) {
+    response = std::move(reply);
+    error = std::move(failure);
+  });
+  if (error) std::rethrow_exception(error);
+  return response;
 }
 
 std::vector<std::uint8_t> SocketTransport::serve_request(Message request) {
@@ -526,7 +628,7 @@ std::vector<std::uint8_t> SocketTransport::serve_request(Message request) {
     // other transports' drop wording) instead of a silent close:
     // "connection closed with zero response bytes" must stay unambiguous
     // proof that the request was never served, because
-    // exchange_over_wire's stale-pool retry re-sends exactly in that case.
+    // exchange_run's retry rule re-sends exactly in that case.
     return encode_fault(codec_, kNetworkFault, drop_reason(response, Leg::Response));
   }
   return frame;
@@ -608,8 +710,8 @@ void SocketTransport::connection_loop(int fd) {
   tl_transport_thread = true;
   // True when a fully-read request got no (complete) reply onto the wire:
   // the close below must then abort (RST) instead of sending a clean FIN,
-  // because the client's stale-pool retry reads "clean FIN, zero response
-  // bytes" as proof the request was never served.
+  // because the client's retry rule reads a clean FIN where a reply should
+  // begin as proof the request was never read.
   bool served_without_reply = false;
   for (;;) {
     Message request;
@@ -627,7 +729,7 @@ void SocketTransport::connection_loop(int fd) {
         // bump could lag behind a stats reader on the requesting thread.
         ++socket_stats_.frames_sent;
         socket_stats_.wire_bytes_sent += fault.size();
-        (void)write_all(fd, fault.data(), fault.size());
+        (void)write_all(fd, fault);
       } catch (...) {
         // Even the fault frame is unencodable (pathologically small
         // FrameLimits): closing the connection is the whole report.
@@ -643,15 +745,15 @@ void SocketTransport::connection_loop(int fd) {
       // handler exceptions are caught inside it), but an escaped exception
       // here would std::terminate the process off this reader thread.
       // Attempt a minimal fault first — the handler may already have run,
-      // so a zero-byte clean close would wrongly license the peer's
-      // stale-pool retry into re-executing it.
+      // so a zero-byte clean close would wrongly license the peer's retry
+      // rule into re-executing it.
       bool fault_written = false;
       try {
         const std::vector<std::uint8_t> fault =
             encode_fault(codec_, kTransportFault, "request handling failed");
         ++socket_stats_.frames_sent;
         socket_stats_.wire_bytes_sent += fault.size();
-        fault_written = write_all(fd, fault.data(), fault.size());
+        fault_written = write_all(fd, fault);
       } catch (...) {
       }
       served_without_reply = !fault_written;
@@ -659,7 +761,7 @@ void SocketTransport::connection_loop(int fd) {
     }
     ++socket_stats_.frames_sent;
     socket_stats_.wire_bytes_sent += response.size();
-    if (!write_all(fd, response.data(), response.size())) {
+    if (!write_all(fd, response)) {
       // The handler ran but its reply could not be written (e.g. resource
       // pressure, not just a vanished client): never let this look like a
       // clean never-served close.
@@ -668,8 +770,8 @@ void SocketTransport::connection_loop(int fd) {
     }
   }
   if (served_without_reply) {
-    // Linger-zero close sends RST: the client observes an abort, which
-    // the stale-pool retry is forbidden to retry, instead of a clean FIN.
+    // Linger-zero close sends RST: the client observes an abort, which its
+    // retry rule never re-sends, instead of a clean FIN.
     const linger hard{.l_onoff = 1, .l_linger = 0};
     ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &hard, sizeof hard);
   }
@@ -729,29 +831,38 @@ void SocketTransport::send_async(Message request, SendCallback on_complete) {
 
 void SocketTransport::outbound_worker_loop() {
   tl_transport_thread = true;
+  std::vector<PendingSend> run;
+  std::array<const Message*, kMaxRun> requests{};
   std::unique_lock lock(outbound_mutex_);
   for (;;) {
     outbound_cv_.wait(lock, [&] {
       return shutdown_.load(std::memory_order_acquire) || !outbound_.empty();
     });
     if (shutdown_.load(std::memory_order_acquire)) return;
-    PendingSend outbound = std::move(outbound_.front());
-    outbound_.pop_front();
-    ++outbound_executing_;
+    // A run: the front request and the ones queued directly behind it for
+    // the same recipient.
+    const std::size_t cap = std::min(outbound_.size(), kMaxRun);
+    std::size_t length = 1;
+    while (length < cap &&
+           outbound_[length].request.recipient == outbound_.front().request.recipient) {
+      ++length;
+    }
+    const auto taken = outbound_.begin() + static_cast<std::ptrdiff_t>(length);
+    run.assign(std::make_move_iterator(outbound_.begin()), std::make_move_iterator(taken));
+    outbound_.erase(outbound_.begin(), taken);
+    outbound_executing_ += length;
     lock.unlock();
     outbound_cv_.notify_all();  // queue space freed; blocked senders proceed
 
-    Message response;
-    std::exception_ptr error;
-    try {
-      response = send(outbound.request);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    outbound.complete(std::move(response), error);
+    for (std::size_t i = 0; i < length; ++i) requests[i] = &run[i].request;
+    exchange_run(std::span(requests.data(), length),
+                 [&](std::size_t i, Message response, std::exception_ptr error) {
+                   run[i].complete(std::move(response), error);
+                 });
+    run.clear();
 
     lock.lock();
-    --outbound_executing_;
+    outbound_executing_ -= length;
     if (outbound_.empty() && outbound_executing_ == 0) {
       outbound_cv_.notify_all();  // drain() waiters
     }

@@ -13,19 +13,37 @@
 //     and writes the encoded response back on the same connection;
 //   * send() is the synchronous exchange: it checks out an idle client
 //     connection to the destination (or dials a new one), writes the
-//     request frame, and blocks reading the response frame. A connection
-//     carries at most one in-flight exchange, so no correlation ids are
-//     needed and nested mid-protocol round trips (a handler send()ing from
-//     a reader thread) simply use another connection;
-//   * send_async() enqueues onto a small pool of outbound worker threads
-//     that run the same synchronous exchange; all failures surface through
+//     request frame, and blocks reading the response frame. Nested
+//     mid-protocol round trips (a handler send()ing from a reader thread)
+//     simply use another connection;
+//   * send_async() enqueues onto a small pool of outbound worker threads.
+//     A worker takes a *run*: the request at the front of the queue and the
+//     ones queued directly behind it for the same recipient, at most 64.
+//     It encodes and charges each request as send() does, writes their
+//     frames back to back on one connection, and reads the replies in
+//     order, completing each request's callback as its reply arrives, in
+//     queue order. The server answers a connection's frames in order, so
+//     no correlation ids are needed. A run keeps under 64 KiB of request
+//     bytes unanswered, less than the socket buffers hold, so neither side
+//     can block the other's writes; a larger frame goes out alone. send()
+//     is a run of one through the same code. All failures surface through
 //     the future/callback, never as a throw — same contract as
 //     AsyncTransport, including backpressure: the queue holds at most
 //     `max_outbound` pending requests, an overflowing send_async either
 //     blocks for space (Block, the default) or fails the future/callback
 //     (Reject), and Block never applies on a transport thread (a handler
 //     or completion callback fails fast instead of deadlocking the
-//     threads that drain the queue);
+//     threads that drain the queue). drain() and pending() count a run's
+//     requests until its last callback has run;
+//   * one retry rule: the server never closes a connection cleanly after
+//     reading a request it did not answer, so a clean close where reply k
+//     should begin proves request k was never read. Requests k onward are
+//     then re-sent on another connection if this one came from the pool or
+//     answered an earlier request, and fail with NetworkError otherwise.
+//     Any other cut (mid-frame, a reset, an undecodable reply) fails
+//     request k and every later one with NetworkError and re-sends none. A
+//     fault frame fails only its own request; the connection is then
+//     closed, never pooled;
 //   * routing: a recipient resolves to (in order) an explicit add_route()
 //     address, then the transport's own listener when the endpoint is
 //     attached locally. Local recipients are NOT short-circuited
@@ -42,13 +60,11 @@
 //     charges the request, the responder charges the response — on a
 //     single instance the totals are identical to SimNetwork's; across
 //     instances each transport counts what it transmits. Per-link
-//     drop_probability is honoured: a dropped request fails before any
-//     byte is written, a dropped response answers with an unaddressed
-//     fault frame (worded like SimNetwork's drop error) — the server
-//     never closes a served request's connection with zero response
-//     bytes, which is what lets the client retry a pooled connection that
-//     died before any response byte arrived without ever re-executing a
-//     handler.
+//     drop_probability is honoured: a dropped request fails alone before
+//     any of its bytes are written, a dropped response answers with an
+//     unaddressed fault frame (worded like SimNetwork's drop error) — the
+//     server never closes a served request's connection with zero
+//     response bytes, which is what the retry rule above rests on.
 //
 // Endpoint contract (EndpointRegistry's; tests/test_transport.cpp's
 // EndpointContract suite): attach() throws on a duplicate name; detach()
@@ -215,16 +231,19 @@ class SocketTransport final : public Transport {
     return link_model_.charge(message, size.total, stats_, clock_);
   }
 
-  /// One synchronous exchange of `request`, encoded as `frame`, over a
-  /// pooled connection.
-  Message exchange_over_wire(const Message& request, std::span<const std::uint8_t> frame,
-                             std::uint16_t dest_port);
+  /// Exchanges a run of requests to one recipient over one connection:
+  /// each is encoded and charged, the frames go out back to back, and
+  /// `done(i, response, error)` runs once per request, in run order, as its
+  /// reply arrives. send() is a run of one. Never throws.
+  template <class Done>
+  void exchange_run(std::span<const Message* const> run, Done&& done);
 
   /// Server side of one decoded request: dispatch + respond. Always
   /// returns a non-empty encoded frame — a dropped or unencodable
   /// response becomes a fault frame. Never close a served request's
-  /// connection with zero response bytes: the client's stale-pool retry
-  /// treats that as proof the request was never served.
+  /// connection with zero response bytes: the client's retry rule treats
+  /// a clean close where a reply should begin as proof that the request
+  /// was never read.
   [[nodiscard]] std::vector<std::uint8_t> serve_request(Message request);
 
   [[nodiscard]] int dial(std::uint16_t dest_port);
@@ -256,7 +275,7 @@ class SocketTransport final : public Transport {
   mutable std::mutex outbound_mutex_;  ///< guards outbound_/outbound workers
   std::condition_variable outbound_cv_;
   std::deque<PendingSend> outbound_;
-  std::size_t outbound_executing_ = 0;
+  std::size_t outbound_executing_ = 0;  ///< requests of the runs in flight
 
   /// One inbound connection: its fd (-1 once the reader closed it, which
   /// also marks the thread reapable) and the reader thread serving it.

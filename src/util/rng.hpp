@@ -5,6 +5,8 @@
 
 #include <cstdint>
 
+#include "util/hash.hpp"
+
 namespace pti::util {
 
 class Rng {
@@ -13,10 +15,7 @@ class Rng {
 
   /// Next 64 uniformly distributed bits.
   constexpr std::uint64_t next_u64() noexcept {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return mix64(state_ += 0x9e3779b97f4a7c15ULL);
   }
 
   /// Uniform integer in [0, bound); bound must be > 0.

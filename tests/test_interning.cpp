@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "conform/conformance_cache.hpp"
 #include "conform/conformance_checker.hpp"
@@ -219,6 +220,31 @@ TEST(InternedCache, DistinctOptionsFingerprintsAreSeparateEntries) {
   // Both verdicts stay retrievable.
   EXPECT_TRUE(lenient.conforms(source, target));
   EXPECT_FALSE(strict.conforms(source, target));
+}
+
+TEST(InternedCache, EverySourceOfATargetGetsItsOwnHomeSlot) {
+  // The read index takes a key's home slot from the low bits of its hash.
+  // If those bits came from the target id alone, every source checked
+  // against one target would share one home slot, and each lookup and
+  // insert would walk a probe run as long as the cache's history of that
+  // target.
+  SymbolTable table;
+  constexpr std::size_t kSources = 4096;
+  constexpr std::size_t kSlotMask = kSources - 1;
+  for (const char* target_name : {"t.A", "t.B", "t.C", "t.D"}) {
+    const InternedName target = table.intern(target_name);
+    std::vector<bool> home(kSources, false);
+    std::size_t distinct = 0;
+    for (std::size_t i = 0; i < kSources; ++i) {
+      const conform::ConformanceCache::Key key{table.intern("s." + std::to_string(i)), target,
+                                               0x5EED};
+      const std::size_t slot = conform::ConformanceCache::KeyHash{}(key) & kSlotMask;
+      if (!home[slot]) ++distinct;
+      home[slot] = true;
+    }
+    // A uniform hash fills about 63% of the slots; the target-only one, 1.
+    EXPECT_GT(distinct, kSources / 2) << target_name;
+  }
 }
 
 // --- ByteWriter::reserve -----------------------------------------------------

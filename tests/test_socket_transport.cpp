@@ -26,6 +26,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -532,6 +533,344 @@ TEST(SocketTransport, WorksUnderneathThePublicApi) {
   const PushAck async_ack = sender.send_async("api-receiver", object).get();
   EXPECT_TRUE(async_ack.delivered) << async_ack.detail;
   EXPECT_EQ(deliveries.load(), 2);
+}
+
+// --- runs: a peer's queued requests share one connection --------------------
+//
+// The client here has one outbound worker. SetUp parks it on a request to a
+// gate endpoint; every request queued while it waits then forms one run
+// (same recipient, queue order) once open_gate() lets it go.
+
+/// Answers PushAck{"echo:" + the request's detail}.
+Message echo_reply(const Message& request) {
+  Message response;
+  response.payload =
+      transport::PushAck{true, "echo:" + std::get<transport::PushAck>(request.payload).detail};
+  address_response(request, response);
+  return response;
+}
+
+class SocketTransportRun : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    server_.attach("gate", [this](const Message& request) {
+      gate_entered_.set_value();
+      gate_open_.wait();
+      return echo_reply(request);
+    });
+    client_.add_route("gate", server_.port());
+    parked_ = client_.send_async(ping("caller", "gate"));
+    gate_entered_.get_future().wait();
+  }
+
+  void TearDown() override { open_gate(); }
+
+  void open_gate() {
+    if (!gate_opened_) gate_.set_value();
+    gate_opened_ = true;
+  }
+
+  /// Queues `count` requests to `to`, with details "0", "1", ...; each
+  /// callback appends "<detail>=<reply detail or error>" to replies_.
+  void queue(const std::string& to, int count, const std::string& payload = {}) {
+    for (int i = 0; i < count; ++i) {
+      const std::string detail = std::to_string(i) + payload;
+      client_.send_async(ping("caller", to, detail),
+                         [this, tag = std::to_string(i)](Message reply, std::exception_ptr e) {
+                           std::string outcome;
+                           try {
+                             if (e) std::rethrow_exception(e);
+                             outcome = std::get<PushAck>(reply.payload).detail;
+                           } catch (const NetworkError& error) {
+                             outcome = std::string("NetworkError:") + error.what();
+                           } catch (const TransportError& error) {
+                             outcome = std::string("TransportError:") + error.what();
+                           }
+                           std::lock_guard lock(mutex_);
+                           replies_.push_back(tag + "=" + outcome.substr(0, 64));
+                         });
+    }
+  }
+
+  [[nodiscard]] std::vector<std::string> replies() {
+    std::lock_guard lock(mutex_);
+    return replies_;
+  }
+
+  std::promise<void> gate_entered_;
+  std::promise<void> gate_;
+  std::shared_future<void> gate_open_ = gate_.get_future().share();
+  bool gate_opened_ = false;
+  std::mutex mutex_;
+  std::vector<std::string> replies_;
+  SocketTransport server_;
+  SocketTransport client_{SocketTransportConfig{.async_workers = 1}};
+  std::future<Message> parked_;
+};
+
+/// Polls `condition` for up to five seconds.
+template <class Condition>
+[[nodiscard]] bool eventually(Condition condition) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!condition()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST_F(SocketTransportRun, QueuedRequestsLeaveTogetherAndDrainWaitsForTheWholeRun) {
+  std::promise<void> first_entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  server_.attach("echo", [&](const Message& request) {
+    if (std::get<PushAck>(request.payload).detail == "0") {
+      first_entered.set_value();
+      released.wait();
+    }
+    return echo_reply(request);
+  });
+  client_.add_route("echo", server_.port());
+  queue("echo", 8);
+  open_gate();
+  first_entered.get_future().wait();
+  // The gate's request and all eight of the run: one at a time, only the
+  // gate's and the first would have been written by now.
+  EXPECT_TRUE(eventually([&] { return client_.socket_stats().frames_sent.get() == 9; }))
+      << client_.socket_stats().frames_sent.get() << " frames sent";
+  EXPECT_EQ(client_.pending(), 8u);
+  std::atomic<bool> drained{false};
+  std::thread drainer([&] {
+    client_.drain();
+    drained.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(drained.load());
+  release.set_value();
+  drainer.join();
+  EXPECT_EQ(client_.pending(), 0u);
+  EXPECT_EQ(replies().size(), 8u);  // every callback ran before drain returned
+}
+
+TEST_F(SocketTransportRun, RepliesCompleteInQueueOrderEachOnceWithItsOwnReply) {
+  std::mutex served_mutex;
+  std::vector<std::string> served;
+  server_.attach("echo", [&](const Message& request) {
+    std::lock_guard lock(served_mutex);
+    served.push_back(std::get<PushAck>(request.payload).detail);
+    return echo_reply(request);
+  });
+  client_.add_route("echo", server_.port());
+  queue("echo", 16);
+  open_gate();
+  client_.drain();
+  std::vector<std::string> expected;
+  std::vector<std::string> expected_served;
+  for (int i = 0; i < 16; ++i) {
+    expected.push_back(std::to_string(i) + "=echo:" + std::to_string(i));
+    expected_served.push_back(std::to_string(i));
+  }
+  EXPECT_EQ(replies(), expected);
+  std::lock_guard lock(served_mutex);
+  EXPECT_EQ(served, expected_served);
+}
+
+TEST_F(SocketTransportRun, AHandlerFaultFailsOnlyItsOwnRequest) {
+  server_.attach("echo", [](const Message& request) {
+    if (std::get<PushAck>(request.payload).detail == "3") {
+      throw std::runtime_error("kaboom");
+    }
+    return echo_reply(request);
+  });
+  client_.add_route("echo", server_.port());
+  queue("echo", 8);
+  open_gate();
+  client_.drain();
+  const std::vector<std::string> got = replies();
+  ASSERT_EQ(got.size(), 8u);
+  for (int i = 0; i < 8; ++i) {
+    if (i == 3) {
+      EXPECT_TRUE(got[3].starts_with("3=TransportError:")) << got[3];
+      EXPECT_NE(got[3].find("kaboom"), std::string::npos) << got[3];
+    } else {
+      EXPECT_EQ(got[i], std::to_string(i) + "=echo:" + std::to_string(i));
+    }
+  }
+  // The connection that carried a fault is closed, never pooled: the next
+  // exchange dials a fresh one.
+  const std::uint64_t dialed = client_.socket_stats().connections_dialed.get();
+  EXPECT_EQ(std::get<PushAck>(client_.send(ping("caller", "echo", "after")).payload).detail,
+            "echo:after");
+  EXPECT_EQ(client_.socket_stats().connections_dialed.get(), dialed + 1);
+}
+
+TEST_F(SocketTransportRun, RequestsLargerThanTheSocketBuffersCompleteWithoutDeadlock) {
+  // Each request and each reply is bigger than both directions' socket
+  // buffers: a run that wrote them all before reading would block on a
+  // server blocked writing its first reply.
+  server_.attach("echo", [](const Message& request) { return echo_reply(request); });
+  client_.add_route("echo", server_.port());
+  const std::string payload(256 * 1024, 'p');
+  queue("echo", 32, payload);
+  open_gate();
+  std::future<void> drained = std::async(std::launch::async, [&] { client_.drain(); });
+  if (drained.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    ADD_FAILURE() << "a run of 32 x 256 KiB requests did not complete in 60 s";
+    std::abort();  // the transport's threads are wedged; unwinding would hang
+  }
+  const std::vector<std::string> got = replies();
+  ASSERT_EQ(got.size(), 32u);
+  for (int i = 0; i < 32; ++i) {
+    const std::string tag = std::to_string(i);
+    EXPECT_EQ(got[i], tag + "=" + ("echo:" + tag + payload).substr(0, 64));
+  }
+}
+
+/// A raw loopback listener whose thread runs a script of accepts, frame
+/// reads and replies: wire behaviour a SocketTransport server never shows.
+/// After the script it accepts and closes every further connection until
+/// destroyed, counting them, so a wrongly re-sent request fails instead of
+/// hanging.
+class ScriptedPeer {
+ public:
+  using Script = std::function<void(ScriptedPeer&)>;
+
+  explicit ScriptedPeer(Script script) {
+    listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(listener_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+    EXPECT_EQ(::listen(listener_, 8), 0);
+    socklen_t len = sizeof addr;
+    ::getsockname(listener_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, script = std::move(script)] {
+      script(*this);
+      for (int fd; (fd = accept_connection()) >= 0;) ::close(fd);
+    });
+  }
+  ~ScriptedPeer() {
+    ::shutdown(listener_, SHUT_RDWR);
+    thread_.join();
+    ::close(listener_);
+  }
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] int accepted() const { return accepted_.load(); }
+  [[nodiscard]] std::vector<std::string> served() {
+    std::lock_guard lock(mutex_);
+    return served_;
+  }
+
+  /// The next connection, or -1 once the listener is shut down. Reads on
+  /// it time out after ten seconds, so a broken client cannot hang a test.
+  int accept_connection() {
+    const int fd = ::accept(listener_, nullptr, nullptr);
+    if (fd < 0) return -1;
+    ++accepted_;
+    const timeval timeout{.tv_sec = 10, .tv_usec = 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    return fd;
+  }
+
+  /// Reads one request frame; false on a close, a cut or a timeout.
+  bool read_request(int fd, Message& request) {
+    std::vector<std::uint8_t> frame(serial::FrameCodec::kHeaderSize);
+    if (!read_exactly(fd, frame.data(), frame.size())) return false;
+    const std::size_t body = codec_.decode_header(frame).body_bytes;
+    frame.resize(frame.size() + body);
+    if (!read_exactly(fd, frame.data() + serial::FrameCodec::kHeaderSize, body)) return false;
+    request = codec_.decode(frame);
+    return true;
+  }
+
+  /// Reads one request and answers it like the echo endpoint, or writes
+  /// only the first `cut_after` bytes of the reply when that is set.
+  bool serve(int fd, std::size_t cut_after = SIZE_MAX) {
+    Message request;
+    if (!read_request(fd, request)) return false;
+    {
+      std::lock_guard lock(mutex_);
+      served_.push_back(std::get<PushAck>(request.payload).detail);
+    }
+    const std::vector<std::uint8_t> reply = codec_.encode(echo_reply(request));
+    const std::size_t n = std::min(cut_after, reply.size());
+    return ::send(fd, reply.data(), n, MSG_NOSIGNAL) == static_cast<ssize_t>(n);
+  }
+
+  /// Closes cleanly (FIN) without reading what the client sent since,
+  /// then waits for the client to close its end.
+  static void close_unread(int fd) {
+    ::shutdown(fd, SHUT_WR);
+    std::uint8_t sink[4096];
+    while (::recv(fd, sink, sizeof sink, 0) > 0) {
+    }
+    ::close(fd);
+  }
+
+ private:
+  static bool read_exactly(int fd, std::uint8_t* out, std::size_t n) {
+    for (std::size_t got = 0; got < n;) {
+      const ssize_t r = ::recv(fd, out + got, n - got, 0);
+      if (r <= 0) return false;
+      got += static_cast<std::size_t>(r);
+    }
+    return true;
+  }
+
+  serial::FrameCodec codec_;
+  int listener_ = -1;
+  std::uint16_t port_ = 0;
+  std::atomic<int> accepted_{0};
+  std::mutex mutex_;
+  std::vector<std::string> served_;
+  std::thread thread_;
+};
+
+TEST_F(SocketTransportRun, CleanCloseResendsTheUnreadRequestsOnANewConnection) {
+  ScriptedPeer peer([](ScriptedPeer& self) {
+    // Answers two requests, then closes cleanly without reading the rest.
+    const int first = self.accept_connection();
+    EXPECT_TRUE(self.serve(first));
+    EXPECT_TRUE(self.serve(first));
+    ScriptedPeer::close_unread(first);
+    // The re-sent requests arrive on a second connection.
+    const int second = self.accept_connection();
+    EXPECT_TRUE(self.serve(second));
+    EXPECT_TRUE(self.serve(second));
+    ::close(second);
+  });
+  client_.add_route("scripted", peer.port());
+  queue("scripted", 4);
+  open_gate();
+  client_.drain();
+  EXPECT_EQ(replies(), (std::vector<std::string>{"0=echo:0", "1=echo:1", "2=echo:2",
+                                                 "3=echo:3"}));
+  EXPECT_EQ(peer.served(), (std::vector<std::string>{"0", "1", "2", "3"}));
+  EXPECT_EQ(peer.accepted(), 2);
+}
+
+TEST_F(SocketTransportRun, CutInsideAReplyFailsTheRestWithoutResending) {
+  ScriptedPeer peer([](ScriptedPeer& self) {
+    // Answers one request, then sends half a reply and closes.
+    const int fd = self.accept_connection();
+    EXPECT_TRUE(self.serve(fd));
+    EXPECT_TRUE(self.serve(fd, /*cut_after=*/serial::FrameCodec::kHeaderSize + 2));
+    ScriptedPeer::close_unread(fd);
+  });
+  client_.add_route("scripted", peer.port());
+  queue("scripted", 4);
+  open_gate();
+  client_.drain();
+  const std::vector<std::string> got = replies();
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[0], "0=echo:0");
+  for (int i = 1; i < 4; ++i) {
+    EXPECT_TRUE(got[i].starts_with(std::to_string(i) + "=NetworkError:")) << got[i];
+  }
+  EXPECT_EQ(peer.served(), (std::vector<std::string>{"0", "1"}));
+  EXPECT_EQ(peer.accepted(), 1);  // nothing re-sent
 }
 
 // --- equivalence with SimNetwork ---------------------------------------------

@@ -9,6 +9,9 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
+#include <mutex>
+#include <numeric>
 #include <semaphore>
 #include <thread>
 #include <tuple>
@@ -506,6 +509,63 @@ TYPED_TEST(EndpointContract, UnknownRecipientIsANetworkError) {
   EXPECT_THROW((void)net.send(Message{"a", "ghost", CodeRequest{"x"}}), NetworkError);
   std::future<Message> future = net.send_async(Message{"a", "ghost", CodeRequest{"x"}});
   EXPECT_THROW((void)future.get(), NetworkError);
+}
+
+// --- send_async: every callback runs exactly once ---------------------------
+//
+// Every future resolves exactly once, however a transport completes its
+// requests: inline (SimNetwork), from endpoint inboxes (AsyncTransport) or
+// from a run of pipelined replies (SocketTransport).
+
+template <class T>
+class SendAsyncContract : public ::testing::Test {};
+TYPED_TEST_SUITE(SendAsyncContract, testing_support::AllTransports,
+                 testing_support::TransportName);
+
+TYPED_TEST(SendAsyncContract, EveryCallbackRunsOnceWithItsOwnReply) {
+  // SocketTransport gets one outbound worker, so its queued requests leave
+  // as runs and their callbacks must also run in send order.
+  constexpr bool kSocket = std::is_same_v<TypeParam, SocketTransport>;
+  std::unique_ptr<TypeParam> owned;
+  if constexpr (kSocket) {
+    owned = std::make_unique<TypeParam>(SocketTransportConfig{.async_workers = 1});
+  } else {
+    owned = std::make_unique<TypeParam>();
+  }
+  TypeParam& net = *owned;
+  net.attach("echo", [](const Message& m) {
+    const std::string& sequence = std::get<CodeRequest>(m.payload).assembly_name;
+    return Message{"echo", m.sender, PushAck{true, sequence}};
+  });
+  constexpr int kSends = 64;
+  std::mutex mutex;
+  std::vector<int> order;
+  std::vector<int> calls(kSends, 0);
+  int wrong_replies = 0;
+  for (int i = 0; i < kSends; ++i) {
+    net.send_async(Message{"client", "echo", CodeRequest{std::to_string(i)}},
+                   [&, i](Message reply, std::exception_ptr error) {
+                     const std::string expected = std::to_string(i);
+                     std::lock_guard lock(mutex);
+                     order.push_back(i);
+                     ++calls[i];
+                     if (error || std::get<PushAck>(reply.payload).detail != expected) {
+                       ++wrong_replies;
+                     }
+                   });
+  }
+  if constexpr (!std::is_same_v<TypeParam, SimNetwork>) {
+    net.drain();
+    EXPECT_EQ(net.pending(), 0u);
+  }
+  std::lock_guard lock(mutex);
+  EXPECT_EQ(calls, std::vector<int>(kSends, 1));
+  EXPECT_EQ(wrong_replies, 0);
+  if constexpr (!std::is_same_v<TypeParam, AsyncTransport>) {
+    std::vector<int> sent(kSends);
+    std::iota(sent.begin(), sent.end(), 0);
+    EXPECT_EQ(order, sent);
+  }
 }
 
 // --- one byte model ----------------------------------------------------------

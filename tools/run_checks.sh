@@ -80,15 +80,17 @@ stage 40 "ctest: tsan preset" ctest --preset tsan "${CTEST_JOBS[@]}" "${TSAN_FIL
 
 # The endpoint registry owns exactly the synchronisation these tests
 # exercise (attach/detach, in-flight counts, drain, queue backpressure),
-# and one pass misses rare interleavings: a first-contact race once
-# failed about one run in ten. Same commands as CI's tsan leg.
+# and so do SocketTransport's runs (a worker completing a run's callbacks
+# in order as its pipelined replies arrive); one pass misses rare
+# interleavings: a first-contact race once failed about one run in ten.
+# Same commands as CI's tsan leg.
 tsan_repeats() {
   build-tsan/test_transport --gtest_repeat=50 --gtest_brief=1 \
-    --gtest_filter='EndpointContract*:AsyncTransportTest.*Detach*:AsyncTransportTest.*Backpressure*:AsyncTransportTest.HandlerContext*' && \
+    --gtest_filter='EndpointContract*:SendAsyncContract*:AsyncTransportTest.*Detach*:AsyncTransportTest.*Backpressure*:AsyncTransportTest.HandlerContext*' && \
   build-tsan/test_socket_transport --gtest_repeat=50 --gtest_brief=1 \
-    --gtest_filter='SocketTransport.*Backpressure*'
+    --gtest_filter='SocketTransport.*Backpressure*:SocketTransportRun.*'
 }
-stage 42 "tsan repeats: endpoint contract, detach, backpressure (50x)" tsan_repeats
+stage 42 "tsan repeats: endpoint and send_async contracts, detach, backpressure, runs (50x)" tsan_repeats
 stage 35 "configure + build: ubsan preset" build_preset ubsan
 stage 45 "ctest: ubsan preset" ctest --preset ubsan "${CTEST_JOBS[@]}"
 if [[ "${ASAN:-0}" == "1" ]]; then
