@@ -109,7 +109,6 @@ class ResourceGovernor {
   [[nodiscard]] std::size_t sweeps() const noexcept {
     return sweeps_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] util::EpochManager& epoch_manager() noexcept { return em_; }
 
  private:
   /// The symbol-eviction veto: referenced by any watched registry or

@@ -33,20 +33,6 @@ bool Domain::has_assembly(std::string_view name) const noexcept {
   return assemblies_.find(name) != assemblies_.end();
 }
 
-const Assembly* Domain::find_assembly(std::string_view name) const noexcept {
-  std::shared_lock lock(mutex_);
-  const auto it = assemblies_.find(name);
-  return it == assemblies_.end() ? nullptr : it->second.get();
-}
-
-std::vector<const Assembly*> Domain::assemblies() const {
-  std::shared_lock lock(mutex_);
-  std::vector<const Assembly*> out;
-  out.reserve(assemblies_.size());
-  for (const auto& [name, assembly] : assemblies_) out.push_back(assembly.get());
-  return out;
-}
-
 const NativeType* Domain::find_native(std::string_view qualified_name) const noexcept {
   std::shared_lock lock(mutex_);
   const auto it = natives_.find(qualified_name);

@@ -48,8 +48,6 @@ class Domain {
       std::shared_ptr<const Assembly> assembly, std::string_view download_path = {});
 
   [[nodiscard]] bool has_assembly(std::string_view name) const noexcept;
-  [[nodiscard]] const Assembly* find_assembly(std::string_view name) const noexcept;
-  [[nodiscard]] std::vector<const Assembly*> assemblies() const;
 
   /// The native (executable) type for a qualified name; nullptr when the
   /// code has not been loaded (description-only knowledge).

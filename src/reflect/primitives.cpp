@@ -29,20 +29,6 @@ bool is_primitive_name(std::string_view type_name) noexcept {
          c == kFloat64Type || c == kStringType || c == kObjectType || c == kListType;
 }
 
-std::optional<std::string_view> primitive_for(ValueKind kind) noexcept {
-  switch (kind) {
-    case ValueKind::Null: return kObjectType;
-    case ValueKind::Bool: return kBoolType;
-    case ValueKind::Int32: return kInt32Type;
-    case ValueKind::Int64: return kInt64Type;
-    case ValueKind::Float64: return kFloat64Type;
-    case ValueKind::String: return kStringType;
-    case ValueKind::List: return kListType;
-    case ValueKind::Object: return std::nullopt;
-  }
-  return std::nullopt;
-}
-
 Value default_value_for(std::string_view type_name) {
   const std::string_view c = canonical_primitive(type_name);
   if (c == kBoolType) return Value(false);

@@ -6,7 +6,6 @@
 // empty-structured types collapse into one).
 #pragma once
 
-#include <optional>
 #include <string_view>
 
 #include "reflect/value.hpp"
@@ -29,11 +28,6 @@ inline constexpr std::string_view kListType = "list";
 /// "double"/"float" -> float64, "boolean" -> bool. Returns the input when
 /// it is not a primitive alias.
 [[nodiscard]] std::string_view canonical_primitive(std::string_view type_name) noexcept;
-
-/// The primitive type name describing a value's dynamic kind; objects map
-/// to their own type (resolved elsewhere), so this returns nullopt for
-/// ValueKind::Object.
-[[nodiscard]] std::optional<std::string_view> primitive_for(ValueKind kind) noexcept;
 
 /// Default value for a primitive type name (0, false, "", empty list);
 /// object types default to null.

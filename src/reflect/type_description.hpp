@@ -145,6 +145,23 @@ class TypeDescription {
     fingerprint_.invalidate();
   }
 
+  /// Calls `fn` with every type name this description references, in a
+  /// fixed order: the superclass (when set), interfaces, field types,
+  /// method return and parameter types, constructor parameter types.
+  template <class Fn>
+  void for_each_reference(Fn&& fn) const {
+    if (!superclass_.empty()) fn(superclass_);
+    for (const auto& itf : interfaces_) fn(itf);
+    for (const auto& f : fields_) fn(f.type_name);
+    for (const auto& m : methods_) {
+      fn(m.return_type);
+      for (const auto& p : m.params) fn(p.type_name);
+    }
+    for (const auto& c : constructors_) {
+      for (const auto& p : c.params) fn(p.type_name);
+    }
+  }
+
   // --- provenance (optimistic transport, Section 6) ----------------------
   /// Name of the assembly (code unit) implementing this type.
   [[nodiscard]] const std::string& assembly_name() const noexcept { return assembly_name_; }

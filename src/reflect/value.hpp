@@ -52,10 +52,6 @@ class Value {
 
   [[nodiscard]] ValueKind kind() const noexcept;
   [[nodiscard]] bool is_null() const noexcept { return kind() == ValueKind::Null; }
-  [[nodiscard]] bool is_numeric() const noexcept {
-    const ValueKind k = kind();
-    return k == ValueKind::Int32 || k == ValueKind::Int64 || k == ValueKind::Float64;
-  }
 
   /// Checked accessors; throw ReflectError when the kind does not match.
   [[nodiscard]] bool as_bool() const;

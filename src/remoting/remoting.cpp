@@ -70,7 +70,7 @@ std::shared_ptr<DynObject> Remoting::import_ref(std::string_view host_peer,
 void Remoting::complete_description_closure(std::string_view host_peer,
                                             const reflect::TypeDescription& type) {
   reflect::TypeRegistry& registry = peer_.domain().registry();
-  for (int round = 0; round < 16; ++round) {
+  for (std::size_t round = 0; round < transport::kMaxFetchRounds; ++round) {
     // Walk the type's closure only: each reference resolves against its
     // referrer's namespace; what does not resolve is fetched.
     std::vector<std::string> missing;
@@ -80,24 +80,14 @@ void Remoting::complete_description_closure(std::string_view host_peer,
       const reflect::TypeDescription* d = frontier.back();
       frontier.pop_back();
       if (!visited.insert(d).second) continue;
-      const auto need = [&](const std::string& ref) {
+      d->for_each_reference([&](const std::string& ref) {
         if (ref.empty()) return;
         if (const auto* found = registry.resolve(ref, d->namespace_name())) {
           frontier.push_back(found);
         } else {
           missing.push_back(ref);
         }
-      };
-      need(d->superclass());
-      for (const auto& itf : d->interfaces()) need(itf);
-      for (const auto& f : d->fields()) need(f.type_name);
-      for (const auto& m : d->methods()) {
-        need(m.return_type);
-        for (const auto& p : m.params) need(p.type_name);
-      }
-      for (const auto& c : d->constructors()) {
-        for (const auto& p : c.params) need(p.type_name);
-      }
+      });
     }
     if (missing.empty() || peer_.fetch_descriptions(host_peer, std::move(missing)) == 0) {
       break;

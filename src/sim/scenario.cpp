@@ -23,6 +23,15 @@ enum : std::uint64_t {
   kTagHeal = 8,
 };
 
+/// Interest draws per peer (a repeated family is dropped).
+constexpr std::size_t kInterestsPerPeer = 2;
+/// Skew of type popularity (0 would be uniform).
+constexpr double kZipfExponent = 1.0;
+/// Virtual spacing of scripted events.
+constexpr std::uint64_t kEventIntervalNs = 50'000;
+/// Deliveries between epoch reclaim sweeps.
+constexpr std::size_t kReclaimEvery = 4096;
+
 /// Splits one user seed into independent streams (universe, loop, net) so
 /// reseeding one subsystem never perturbs another's draws.
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t stream) noexcept {
@@ -93,7 +102,7 @@ Scenario::Scenario(const ScenarioConfig& config)
   zipf_cdf_.resize(universe_->type_count());
   double total = 0.0;
   for (std::size_t k = 0; k < zipf_cdf_.size(); ++k) {
-    total += std::pow(static_cast<double>(k + 1), -config_.zipf_exponent);
+    total += std::pow(static_cast<double>(k + 1), -kZipfExponent);
     zipf_cdf_[k] = total;
   }
   for (double& c : zipf_cdf_) c /= total;
@@ -111,7 +120,7 @@ Scenario::Scenario(const ScenarioConfig& config)
     auto peer = std::make_unique<LightweightPeer>(i, net_, *universe_, hub_, config_.mode,
                                                   config_.use_sessions);
     std::vector<std::uint32_t> families;
-    for (std::size_t k = 0; k < config_.interests_per_peer; ++k) {
+    for (std::size_t k = 0; k < kInterestsPerPeer; ++k) {
       const std::uint32_t family = draw_family();
       if (std::find(families.begin(), families.end(), family) == families.end()) {
         families.push_back(family);
@@ -136,18 +145,18 @@ ScenarioResult Scenario::run(const ScenarioScript& script) {
       case ScenarioScript::Step::Kind::PublishStorm:
         for (std::size_t i = 0; i < step.a; ++i) {
           loop_.at(cursor_ns_, [this] { fire_publish(); });
-          cursor_ns_ += config_.event_interval_ns;
+          cursor_ns_ += kEventIntervalNs;
         }
         break;
       case ScenarioScript::Step::Kind::Churn:
         for (std::size_t i = 0; i < std::max(step.a, step.b); ++i) {
           if (i < step.a) {
             loop_.at(cursor_ns_, [this] { fire_churn_leave(); });
-            cursor_ns_ += config_.event_interval_ns;
+            cursor_ns_ += kEventIntervalNs;
           }
           if (i < step.b) {
             loop_.at(cursor_ns_, [this] { fire_churn_rejoin(); });
-            cursor_ns_ += config_.event_interval_ns;
+            cursor_ns_ += kEventIntervalNs;
           }
         }
         break;
@@ -155,7 +164,7 @@ ScenarioResult Scenario::run(const ScenarioScript& script) {
         for (std::size_t i = 0; i < step.a; ++i) {
           const std::uint64_t heal_after = step.duration_ns;
           loop_.at(cursor_ns_, [this, heal_after] { fire_partition(heal_after); });
-          cursor_ns_ += config_.event_interval_ns;
+          cursor_ns_ += kEventIntervalNs;
         }
         break;
       case ScenarioScript::Step::Kind::Settle:
@@ -405,7 +414,7 @@ void Scenario::remove_from_live(std::uint32_t peer) {
 }
 
 void Scenario::maybe_reclaim() {
-  if (++since_reclaim_ < config_.reclaim_every) return;
+  if (++since_reclaim_ < kReclaimEvery) return;
   since_reclaim_ = 0;
   hub_.interests().epochs().try_reclaim();
 }

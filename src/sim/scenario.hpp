@@ -48,8 +48,6 @@ struct ScenarioConfig {
   std::size_t peers = 1000;
   std::size_t types = 32;        ///< type families in the universe
   std::size_t type_groups = 8;   ///< conformance islands
-  std::size_t interests_per_peer = 2;
-  double zipf_exponent = 1.0;    ///< skew of type popularity (0 = uniform)
   transport::ProtocolMode mode = transport::ProtocolMode::Optimistic;
   /// Session-layer pushes: wire ids + raw payload + inline intros; the
   /// verdict/accept stream must match non-session runs while wire bytes
@@ -64,8 +62,6 @@ struct ScenarioConfig {
   std::size_t session_batch = 1;
   bool use_inverted_index = true;
   std::size_t fanout_cap = 64;   ///< deliveries per publish (keeps storms tractable)
-  std::uint64_t event_interval_ns = 50'000;  ///< virtual spacing of scripted events
-  std::size_t reclaim_every = 4096;  ///< deliveries between epoch reclaim sweeps
 };
 
 struct ScenarioStats {

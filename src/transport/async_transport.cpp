@@ -18,7 +18,7 @@ namespace {
 }  // namespace
 
 AsyncTransport::AsyncTransport(AsyncTransportConfig config)
-    : config_(config), link_model_(config.rng_seed) {
+    : config_(config) {
   if (config_.max_inbox == 0) {
     throw TransportError("AsyncTransport needs max_inbox >= 1");
   }

@@ -69,8 +69,6 @@ struct AsyncTransportConfig {
   std::size_t max_inbox = 1024;
   using Overflow = transport::Overflow;
   Overflow overflow = Overflow::Block;
-  /// Seed of the shared RNG stream behind per-link drop_probability.
-  std::uint64_t rng_seed = 42;
 };
 
 class AsyncTransport final : public Transport {

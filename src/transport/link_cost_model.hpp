@@ -22,7 +22,8 @@ namespace pti::transport {
 
 class LinkCostModel {
  public:
-  explicit LinkCostModel(std::uint64_t rng_seed) noexcept : rng_state_(rng_seed) {}
+  /// Seed of the drop stream; both concurrent transports start from it.
+  static constexpr std::uint64_t kSeed = 42;
 
   void set_default_link(const LinkConfig& config) noexcept;
   void set_link(std::string_view from, std::string_view to, const LinkConfig& config);
@@ -40,7 +41,7 @@ class LinkCostModel {
   mutable std::shared_mutex mutex_;  ///< guards links_/default_link_
   std::unordered_map<std::uint64_t, LinkConfig> links_;
   LinkConfig default_link_;
-  std::atomic<std::uint64_t> rng_state_;
+  std::atomic<std::uint64_t> rng_state_{kSeed};
 };
 
 }  // namespace pti::transport

@@ -53,6 +53,17 @@ constexpr std::size_t kMaxAdvertisedHashes = 256;
   return e.what();
 }
 
+/// A description's XML with its provenance blanked: the CONTENT an intro
+/// carries and hashes. Provenance (assembly name, download path) rides in
+/// the intro's own fields and differs per hosting peer, which would make
+/// the same type hash apart per sender.
+[[nodiscard]] std::string content_xml(const TypeDescription& d) {
+  TypeDescription content = d;
+  content.set_assembly_name("");
+  content.set_download_path("");
+  return serial::type_description_to_string(content);
+}
+
 /// Fails an async push's future, unless it has already settled.
 void fail_slot(std::promise<PushAck>& promise, const std::exception_ptr& error) {
   try {
@@ -94,13 +105,11 @@ Peer::Peer(std::string name, Transport& network, std::shared_ptr<AssemblyHub> hu
       network_(network),
       hub_(std::move(hub)),
       config_(std::move(config)),
-      checker_(domain_.registry(), config_.conformance,
-               config_.use_conformance_cache ? &cache_ : nullptr),
+      checker_(domain_.registry(), config_.conformance, &cache_),
       proxies_(domain_, checker_),
       sessions_(config_.session) {
   if (!hub_) throw TransportError("peer '" + name_ + "' needs an assembly hub");
   sub_ = hub_->interests().add_subscriber();
-  interest_names_ = std::make_shared<const std::vector<std::string>>();
   serializers_ = serial::SerializerRegistry::with_defaults();
   // The XML serializer honours field visibility when it can see the
   // descriptions (XmlSerializer semantics).
@@ -146,30 +155,15 @@ util::InternedName Peer::add_interest(std::string_view type_name) {
 
 util::InternedName Peer::add_interest(const TypeDescription& interest) {
   const util::InternedName id = interest.name_id();
-  InterestIndex& index = hub_->interests();
-  std::scoped_lock lock(interest_names_mutex_);
-  {
-    util::EpochManager::Pin pin(index.epochs());
-    const auto* ids = index.interests_of(sub_);
-    if (ids != nullptr && std::find(ids->begin(), ids->end(), id) != ids->end()) {
-      return id;  // already declared
-    }
+  const std::vector<util::InternedName> declared = interest_ids();
+  if (std::find(declared.begin(), declared.end(), id) != declared.end()) {
+    return id;  // already declared: the cached verdicts stay valid
   }
-  index.add_interest(sub_, id);
-  // Publish a fresh immutable name snapshot; readers holding the old one
-  // keep a valid (if stale) view.
-  auto names = std::make_shared<std::vector<std::string>>(*interest_names_);
-  names->push_back(interest.qualified_name());
-  interest_names_ = std::move(names);
+  hub_->interests().add_interest(sub_, id);
   // A new interest can turn a cached session REJECT into an accept; cached
   // verdicts must be recomputed against the widened interest set.
   sessions_.invalidate_verdicts();
   return id;
-}
-
-std::shared_ptr<const std::vector<std::string>> Peer::interests() const {
-  std::scoped_lock lock(interest_names_mutex_);
-  return interest_names_;
 }
 
 std::vector<util::InternedName> Peer::interest_ids() const {
@@ -187,16 +181,6 @@ std::size_t Peer::delivered_count() const {
 std::vector<DeliveredObject> Peer::delivered_snapshot() const {
   std::scoped_lock lock(delivered_mutex_);
   return delivered_;
-}
-
-std::string Peer::describe_type_xml(std::string_view type_name) const {
-  const TypeDescription* d =
-      const_cast<reflect::TypeRegistry&>(domain_.registry()).find(type_name);
-  if (d == nullptr) {
-    throw ProtocolError("peer '" + name_ + "' does not know type '" +
-                        std::string(type_name) + "'");
-  }
-  return serial::type_description_to_string(*d);
 }
 
 reflect::Value Peer::wire_value(const std::shared_ptr<DynObject>& object) {
@@ -226,16 +210,7 @@ std::vector<const TypeDescription*> Peer::collect_closure(std::vector<std::strin
     const TypeDescription* d = domain_.registry().find(type_name);
     if (d == nullptr || d->kind() == reflect::TypeKind::Primitive) continue;
     closure.push_back(d);
-    if (!d->superclass().empty()) frontier.push_back(d->superclass());
-    for (const auto& itf : d->interfaces()) frontier.push_back(itf);
-    for (const auto& f : d->fields()) frontier.push_back(f.type_name);
-    for (const auto& m : d->methods()) {
-      frontier.push_back(m.return_type);
-      for (const auto& p : m.params) frontier.push_back(p.type_name);
-    }
-    for (const auto& c : d->constructors()) {
-      for (const auto& p : c.params) frontier.push_back(p.type_name);
-    }
+    d->for_each_reference([&](const std::string& ref) { frontier.push_back(ref); });
   }
   return closure;
 }
@@ -274,7 +249,7 @@ SessionPush Peer::build_session_push(const std::string& to, const SessionObject&
   out.names.clear();
   out.names.reserve(object.types.size());
   for (const auto& t : object.types) out.names.push_back(t.type_name);
-  SessionTable::SendPlan plan = sessions_.plan_send(to, out.names);
+  SessionTable::SendPlan plan = sessions_.plan(to, out.names);
   out.token = plan.token;
   out.fresh = plan.fresh;
 
@@ -283,99 +258,74 @@ SessionPush Peer::build_session_push(const std::string& to, const SessionObject&
   push.wire_types = std::move(plan.wire_ids);
   push.encoding = object.encoding;
   push.payload = object.payload;
+  if (plan.fresh.empty()) return push;
 
-  if (!plan.fresh.empty()) {
-    // First contact for some envelope types: their description closure
-    // rides along inline, so the receiver's conformance check needs no
-    // nested TypeInfoRequest exchange.
-    std::vector<std::string> roots;
-    roots.reserve(plan.fresh.size());
-    for (const std::size_t i : plan.fresh) roots.push_back(out.names[i]);
-    const std::vector<const TypeDescription*> closure = collect_closure(std::move(roots));
+  // First contact for some envelope types: their description closure
+  // rides along inline, so the receiver's conformance check needs no
+  // nested TypeInfoRequest exchange.
+  std::vector<std::string> roots;
+  roots.reserve(plan.fresh.size());
+  for (const std::size_t i : plan.fresh) roots.push_back(out.names[i]);
+  const std::vector<const TypeDescription*> closure = collect_closure(std::move(roots));
 
-    std::set<std::string, util::ICaseLess> envelope_names(out.names.begin(),
-                                                          out.names.end());
-    std::vector<std::string> extra_names;
-    std::vector<const TypeDescription*> extras;
-    for (const TypeDescription* d : closure) {
-      if (envelope_names.insert(d->qualified_name()).second) {
-        extra_names.push_back(d->qualified_name());
-        extras.push_back(d);
-      }
+  std::set<std::string, util::ICaseLess> envelope_names(out.names.begin(), out.names.end());
+  std::vector<std::string> extra_names;
+  std::vector<const TypeDescription*> extras;
+  for (const TypeDescription* d : closure) {
+    if (envelope_names.insert(d->qualified_name()).second) {
+      extra_names.push_back(d->qualified_name());
+      extras.push_back(d);
     }
-    const SessionTable::SendPlan extra_plan =
-        sessions_.plan_extras(to, plan.token, extra_names);
+  }
+  const SessionTable::SendPlan extra_plan = sessions_.plan(to, extra_names, plan.token);
 
-    // Shared-intro elision: when the hub's registry says this receiver
-    // already holds a description (it advertised the content hash to some
-    // sender of this universe), the intro keeps its wire-id/name binding
-    // but drops the description bytes — a hot type's description crosses
-    // the wire once per receiver, not once per sender/receiver pair.
-    const auto elide_known = [&](SessionIntro& intro) {
-      if (intro.description_xml.empty()) return;
-      const std::uint64_t hash = util::fnv1a64(intro.description_xml);
-      if (hub_->intro_registry().knows(to, hash)) {
+  // One intro per binding, unless an earlier entry of the frame carries it.
+  // Shared-intro elision: when the hub's registry says this receiver
+  // already holds the content (it advertised the hash to some sender of
+  // this universe), the intro keeps its binding but drops the description
+  // bytes — a hot type's description crosses the wire once per receiver,
+  // not once per sender/receiver pair.
+  const auto introduce = [&](std::uint32_t wire_id, const std::string& type_name,
+                             const std::string& assembly_name,
+                             const std::string& download_path, const TypeDescription* d) {
+    if (!carried.intros.insert(type_name).second) return;
+    SessionIntro intro{wire_id, type_name, {}, assembly_name, download_path};
+    if (d != nullptr && d->kind() != reflect::TypeKind::Primitive) {
+      intro.description_xml = content_xml(*d);
+      if (hub_->intro_registry().knows(to, util::fnv1a64(intro.description_xml))) {
         intro.description_xml.clear();
         ++stats_.session_intro_skips;
       }
-    };
-    // Intro XML carries type CONTENT only: provenance (assembly name,
-    // download path) already rides in the intro's own fields and differs
-    // per hosting peer, which would make the same type hash apart per
-    // sender and defeat cross-sender elision.
-    const auto content_xml = [](const TypeDescription& d) {
-      TypeDescription content = d;
-      content.set_assembly_name("");
-      content.set_download_path("");
-      return serial::type_description_to_string(content);
-    };
+    }
+    push.intros.push_back(std::move(intro));
+  };
+  for (const std::size_t i : plan.fresh) {
+    introduce(push.wire_types[i], out.names[i], object.types[i].assembly_name,
+              object.types[i].download_path, domain_.registry().find(out.names[i]));
+  }
+  for (const std::size_t j : extra_plan.fresh) {
+    const TypeDescription* d = extras[j];
+    introduce(extra_plan.wire_ids[j], extra_names[j], d->assembly_name(), d->download_path(),
+              d);
+  }
+  for (const std::size_t j : extra_plan.fresh) {
+    out.names.push_back(extra_names[j]);
+    out.fresh.push_back(out.names.size() - 1);
+  }
 
-    for (const std::size_t i : plan.fresh) {
-      if (!carried.intros.insert(out.names[i]).second) continue;
-      SessionIntro intro;
-      intro.wire_id = push.wire_types[i];
-      intro.type_name = out.names[i];
-      intro.assembly_name = object.types[i].assembly_name;
-      intro.download_path = object.types[i].download_path;
-      if (const TypeDescription* d = domain_.registry().find(out.names[i])) {
-        if (d->kind() != reflect::TypeKind::Primitive) {
-          intro.description_xml = content_xml(*d);
-        }
-      }
-      elide_known(intro);
-      push.intros.push_back(std::move(intro));
+  if (config_.mode == ProtocolMode::Eager) {
+    // Eager + session: prepay the assemblies of everything introduced,
+    // mirroring the eager ObjectPush — a warmed eager push ships none,
+    // nor does an entry whose assemblies an earlier entry prepaid.
+    std::set<std::string, util::ICaseLess> assemblies;
+    for (const TypeDescription* d : closure) {
+      if (!d->assembly_name().empty()) assemblies.insert(d->assembly_name());
     }
-    for (const std::size_t j : extra_plan.fresh) {
-      if (!carried.intros.insert(extra_names[j]).second) continue;
-      const TypeDescription* d = extras[j];
-      SessionIntro intro;
-      intro.wire_id = extra_plan.wire_ids[j];
-      intro.type_name = extra_names[j];
-      intro.assembly_name = d->assembly_name();
-      intro.download_path = d->download_path();
-      intro.description_xml = content_xml(*d);
-      elide_known(intro);
-      push.intros.push_back(std::move(intro));
-    }
-    for (const std::size_t j : extra_plan.fresh) {
-      out.names.push_back(extra_names[j]);
-      out.fresh.push_back(out.names.size() - 1);
-    }
-
-    if (config_.mode == ProtocolMode::Eager) {
-      // Eager + session: prepay the assemblies of everything introduced,
-      // mirroring the eager ObjectPush — a warmed eager push ships none,
-      // nor does an entry whose assemblies an earlier entry prepaid.
-      std::set<std::string, util::ICaseLess> assemblies;
-      for (const TypeDescription* d : closure) {
-        if (!d->assembly_name().empty()) assemblies.insert(d->assembly_name());
-      }
-      for (const auto& assembly_name : assemblies) {
-        if (!carried.assemblies.insert(assembly_name).second) continue;
-        if (const auto assembly = hub_->fetch(assembly_name)) {
-          push.intro_assembly_names.push_back(assembly_name);
-          push.intro_assembly_bytes += assembly->simulated_code_size();
-        }
+    for (const auto& assembly_name : assemblies) {
+      if (!carried.assemblies.insert(assembly_name).second) continue;
+      if (const auto assembly = hub_->fetch(assembly_name)) {
+        push.intro_assembly_names.push_back(assembly_name);
+        push.intro_assembly_bytes += assembly->simulated_code_size();
       }
     }
   }
@@ -666,46 +616,59 @@ PushAck Peer::handle_object_push(const std::string& sender, const ObjectPush& pu
 
 SessionAck Peer::answer_session_push(const std::string& sender, const SessionPush& push) {
   try {
-    SessionAck ack = process_session_push(sender, push);
-    advertise_known_descriptions(push, ack);
+    std::vector<std::uint64_t> held;
+    SessionAck ack = process_session_push(sender, push, held);
+    advertise_known_descriptions(std::move(held), ack);
     return ack;
   } catch (const Error& e) {
     return SessionAck{SessionStatus::Error, false, failure_text(e), {}};
   }
 }
 
-SessionAck Peer::process_session_push(const std::string& sender, const SessionPush& push) {
+SessionAck Peer::process_session_push(const std::string& sender, const SessionPush& push,
+                                      std::vector<std::uint64_t>& held) {
   ++stats_.objects_received;
   ++stats_.session_pushes;
 
   // Session bookkeeping first: adopt/refresh the inbound session, learn
   // the inline intros (idempotent), register their descriptions. The
   // distinct-name budget for intro names was already charged at the
-  // transport seam (count_new_names), before this handler ran.
+  // transport seam (count_new_names), before this handler ran. The ack
+  // attests only content this receiver holds: a description this push
+  // registered, or one it held already whose content XML hashes the same
+  // (hashed once per description, not once per intro).
   sessions_.open_inbound(sender, push.token);
+  std::unordered_map<const TypeDescription*, std::uint64_t> held_content;
   for (const SessionIntro& intro : push.intros) {
     if (sessions_.learn(sender, push.token, intro)) ++stats_.session_intros;
-    if (!intro.description_xml.empty() &&
-        domain_.registry().find(intro.type_name) == nullptr) {
-      // The XML is content-only; provenance comes from the intro fields.
-      TypeDescription d = serial::type_description_from_string(intro.description_xml);
-      d.set_assembly_name(intro.assembly_name);
-      d.set_download_path(intro.download_path);
-      domain_.registry().add(std::move(d));
+    if (intro.description_xml.empty()) continue;
+    const std::uint64_t hash = util::fnv1a64(intro.description_xml);
+    if (const TypeDescription* known = domain_.registry().find(intro.type_name)) {
+      const auto [it, fresh] = held_content.try_emplace(known);
+      if (fresh) it->second = util::fnv1a64(content_xml(*known));
+      if (it->second == hash) held.push_back(hash);
+      continue;
     }
+    // The XML is content-only; provenance comes from the intro fields.
+    TypeDescription d = serial::type_description_from_string(intro.description_xml);
+    d.set_assembly_name(intro.assembly_name);
+    d.set_download_path(intro.download_path);
+    domain_.registry().add(std::move(d));
+    held.push_back(hash);
   }
   load_prepaid_assemblies(push.intro_assembly_names);
 
+  std::vector<TypeInfoEntry> entries;
+  if (!sessions_.resolve(sender, push.token, push.wire_types, entries)) {
+    // Unknown wire ids: the session that established them is gone (evicted,
+    // replaced, or dropped at its binding cap). Tell the sender to replay
+    // with intros.
+    ++stats_.session_resets;
+    return SessionAck{SessionStatus::Reset, false, "session state lost", {}};
+  }
   if (push.wire_types.empty()) {
     ++stats_.objects_rejected;
     return SessionAck{SessionStatus::Ok, false, "envelope carries no object types", {}};
-  }
-  std::vector<TypeInfoEntry> entries;
-  if (!sessions_.resolve(sender, push.token, push.wire_types, entries)) {
-    // Unknown wire ids: the session that established them is gone (evicted
-    // or replaced). Tell the sender to replay with intros.
-    ++stats_.session_resets;
-    return SessionAck{SessionStatus::Reset, false, "session state lost", {}};
   }
   Verdict verdict = decide(sender, entries, &push);
   if (!verdict.conformant) {
@@ -716,27 +679,24 @@ SessionAck Peer::process_session_push(const std::string& sender, const SessionPu
   return SessionAck{SessionStatus::Ok, ack.delivered, std::move(ack.detail), {}};
 }
 
-void Peer::advertise_known_descriptions(const SessionPush& push, SessionAck& ack) {
-  // The ack attests content the receiver now verifiably holds: the hash of
-  // every intro description this push delivered. A Reset ack additionally
-  // carries the receiver's whole known set (capped) so the replay — and,
-  // through the hub registry, every other sender — skips those bytes.
-  std::vector<std::uint64_t> delivered;
-  for (const SessionIntro& intro : push.intros) {
-    if (!intro.description_xml.empty()) {
-      delivered.push_back(util::fnv1a64(intro.description_xml));
-    }
-  }
-  if (delivered.empty() && ack.status != SessionStatus::Reset) return;
+void Peer::advertise_known_descriptions(std::vector<std::uint64_t> held, SessionAck& ack) {
+  // The ack attests `held`, the intro content this push left the receiver
+  // holding. A Reset ack instead carries the receiver's whole known set
+  // (capped) so the replay — and, through the hub registry, every other
+  // sender — skips those bytes.
+  if (held.empty() && ack.status != SessionStatus::Reset) return;
   std::scoped_lock lock(desc_hashes_mutex_);
-  for (const std::uint64_t hash : delivered) known_desc_hashes_.insert(hash);
+  for (const std::uint64_t hash : held) {
+    if (known_desc_hashes_.size() >= IntroRegistry::kMaxHashesPerReceiver) break;
+    known_desc_hashes_.insert(hash);
+  }
   if (ack.status == SessionStatus::Reset) {
     for (const std::uint64_t hash : known_desc_hashes_) {
       if (ack.known_desc_hashes.size() >= kMaxAdvertisedHashes) break;
       ack.known_desc_hashes.push_back(hash);
     }
   } else {
-    ack.known_desc_hashes = std::move(delivered);
+    ack.known_desc_hashes = std::move(held);
   }
 }
 
@@ -884,7 +844,7 @@ CheckResult Peer::check_with_fetch(const TypeDescription& source,
   };
   std::size_t rounds = 0;
   while (result.needs_more_types() && config_.mode == ProtocolMode::Optimistic &&
-         rounds < config_.max_fetch_rounds) {
+         rounds < kMaxFetchRounds) {
     ++rounds;
     if (fetch_descriptions(sender, result.missing_types) == 0 &&
         !any_known(result.missing_types)) {

@@ -22,8 +22,8 @@
 // concurrent transport delivers on worker threads) and concurrent
 // send_object()/send_object_async() calls from application threads — the
 // stores underneath (registry, symbol table, conformance cache, domain,
-// hub) are thread-safe, the stats are atomic, and the interest/delivered
-// lists are guarded here. Configuration stays single-threaded: call
+// hub) are thread-safe, the stats are atomic, and the delivered list is
+// guarded here. Configuration stays single-threaded: call
 // add_interest / set_delivery_handler / set_extra_handler / host_assembly
 // before (or between, from one thread) traffic, not during it. The
 // delivery handler itself may run on any transport thread and must be
@@ -76,15 +76,16 @@ enum class MatcherKind : std::uint8_t {
   TaggedStructural,    ///< Läufer et al.: tagged types, exact signatures
 };
 
+/// Cap on description-fetch rounds per conformance decision, and per
+/// remote import's description closure.
+inline constexpr std::size_t kMaxFetchRounds = 16;
+
 struct PeerConfig {
   ProtocolMode mode = ProtocolMode::Optimistic;
   MatcherKind matcher = MatcherKind::ImplicitStructural;
   /// Payload serializer for pass-by-value objects ("soap", "binary", "xml").
   std::string payload_encoding = "soap";
   conform::ConformanceOptions conformance{};
-  bool use_conformance_cache = true;
-  /// Cap on description-fetch rounds per conformance decision.
-  std::size_t max_fetch_rounds = 16;
   /// Keep every DeliveredObject in delivered() (the test/diagnostic
   /// record). Long-running or benchmarked peers turn this off — the
   /// delivery handler still fires per object, but nothing accumulates.
@@ -145,14 +146,8 @@ class Peer {
   /// Interest declared by an already-resolved local description — the
   /// handle-based fast path (no registry lookup).
   util::InternedName add_interest(const reflect::TypeDescription& interest);
-  /// Interests declared so far, in declaration order: an immutable shared
-  /// snapshot — no per-query rebuild or allocation. The pointed-to vector
-  /// never changes; later add_interest calls publish a fresh snapshot.
-  [[nodiscard]] std::shared_ptr<const std::vector<std::string>> interests() const;
   /// Interned ids of the declared interests, in declaration order.
   [[nodiscard]] std::vector<util::InternedName> interest_ids() const;
-  /// This peer's dense id in the hub's shared InterestIndex.
-  [[nodiscard]] SubscriberId subscriber_id() const noexcept { return sub_; }
 
   using DeliveryHandler = std::function<void(const DeliveredObject&)>;
   void set_delivery_handler(DeliveryHandler handler) { on_delivery_ = std::move(handler); }
@@ -198,10 +193,6 @@ class Peer {
   using ExtraHandler = std::function<std::optional<Message>(const Message&)>;
   void set_extra_handler(ExtraHandler handler) { extra_handler_ = std::move(handler); }
 
-  /// Serializes a locally known user type description to XML (helper for
-  /// protocol responses and tests).
-  [[nodiscard]] std::string describe_type_xml(std::string_view type_name) const;
-
   /// Fetches missing descriptions from `from`; returns how many were newly
   /// registered. Public because the remoting layer runs the same
   /// description dance for invocation arguments and results.
@@ -231,10 +222,13 @@ class Peer {
   /// known-description advertisement, or an Error slot with what it failed
   /// with, so a failing entry never fails the rest of its batch.
   SessionAck answer_session_push(const std::string& sender, const SessionPush& push);
-  SessionAck process_session_push(const std::string& sender, const SessionPush& push);
-  /// Hashes of the intro descriptions this push delivered, plus (on Reset)
-  /// the receiver's whole known set, capped.
-  void advertise_known_descriptions(const SessionPush& push, SessionAck& ack);
+  /// Learns the push's intros and decides it; `held` receives the content
+  /// hashes of the intro descriptions the receiver now holds.
+  SessionAck process_session_push(const std::string& sender, const SessionPush& push,
+                                  std::vector<std::uint64_t>& held);
+  /// Records `held` (capped) and advertises it in `ack`; a Reset ack
+  /// carries the receiver's whole known set instead, capped.
+  void advertise_known_descriptions(std::vector<std::uint64_t> held, SessionAck& ack);
 
   /// Protocol steps 2–5 for a push whose graph types are `types` (root
   /// first). A session push passes itself as `session`: its verdict is
@@ -338,10 +332,6 @@ class Peer {
   /// This peer's subscriber slot in hub_->interests() — the shared
   /// inverted index that owns the interest registrations themselves.
   SubscriberId sub_ = kNoSubscriber;
-  /// Guards publication of interest_names_ (reads just copy the
-  /// shared_ptr; the pointed-to vector is immutable).
-  mutable std::mutex interest_names_mutex_;
-  std::shared_ptr<const std::vector<std::string>> interest_names_;
 
   /// Guards delivered_ (transport worker threads append concurrently).
   mutable std::mutex delivered_mutex_;
@@ -386,6 +376,7 @@ class Peer {
 
   /// Content hashes (FNV-64 of canonical XML) of type descriptions this
   /// peer holds, as receiver — what gets advertised in Reset/first acks.
+  /// At most IntroRegistry::kMaxHashesPerReceiver: no sender keeps more.
   mutable std::mutex desc_hashes_mutex_;
   std::unordered_set<std::uint64_t> known_desc_hashes_;
 };

@@ -5,40 +5,31 @@
 
 namespace pti::transport {
 
-SessionTable::SendPlan SessionTable::plan_send(const std::string& to,
-                                               const std::vector<std::string>& names) {
-  std::scoped_lock lock(outbound_mutex_);
-  OutboundSession& session = outbound_[to];
-  if (session.token == 0) {
-    session.token = next_token_.fetch_add(1, std::memory_order_relaxed);
-  }
-  SendPlan plan;
-  plan.token = session.token;
-  plan.wire_ids.reserve(names.size());
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    auto [it, inserted] = session.bindings.try_emplace(names[i]);
-    if (inserted) it->second.wire_id = session.next_wire_id++;
-    plan.wire_ids.push_back(it->second.wire_id);
-    if (!it->second.introduced) plan.fresh.push_back(i);
-  }
-  return plan;
-}
-
-SessionTable::SendPlan SessionTable::plan_extras(const std::string& to,
-                                                 std::uint64_t token,
-                                                 const std::vector<std::string>& names) {
+SessionTable::SendPlan SessionTable::plan(const std::string& to,
+                                          const std::vector<std::string>& names,
+                                          std::uint64_t token) {
   std::scoped_lock lock(outbound_mutex_);
   SendPlan plan;
   plan.token = token;
-  const auto it = outbound_.find(to);
-  if (it == outbound_.end() || it->second.token != token) return plan;  // reset raced
-  OutboundSession& session = it->second;
+  OutboundSession* session = nullptr;
+  if (token == 0) {
+    session = &outbound_[to];
+    if (session->token == 0) {
+      session->token = next_token_.fetch_add(1, std::memory_order_relaxed);
+    }
+    plan.token = session->token;
+  } else if (const auto it = outbound_.find(to);
+             it != outbound_.end() && it->second.token == token) {
+    session = &it->second;
+  } else {
+    return plan;  // a reset replaced the token: bind nothing
+  }
   plan.wire_ids.reserve(names.size());
   for (std::size_t i = 0; i < names.size(); ++i) {
-    auto [binding, inserted] = session.bindings.try_emplace(names[i]);
-    if (inserted) binding->second.wire_id = session.next_wire_id++;
-    plan.wire_ids.push_back(binding->second.wire_id);
-    if (!binding->second.introduced) plan.fresh.push_back(i);
+    auto [it, inserted] = session->bindings.try_emplace(names[i]);
+    if (inserted) it->second.wire_id = session->next_wire_id++;
+    plan.wire_ids.push_back(it->second.wire_id);
+    if (!it->second.introduced) plan.fresh.push_back(i);
   }
   return plan;
 }
@@ -90,11 +81,13 @@ bool SessionTable::learn(const std::string& from, std::uint64_t token,
   std::scoped_lock lock(inbound_mutex_);
   const auto it = inbound_.find(from);
   if (it == inbound_.end() || it->second.token != token) return false;
-  serial::TypeInfoEntry entry;
-  entry.type_name = intro.type_name;
-  entry.assembly_name = intro.assembly_name;
-  entry.download_path = intro.download_path;
-  return it->second.wire_map.insert_or_assign(intro.wire_id, std::move(entry)).second;
+  auto& wire_map = it->second.wire_map;
+  if (wire_map.size() >= kMaxInboundBindings && !wire_map.contains(intro.wire_id)) {
+    inbound_.erase(it);
+    return false;
+  }
+  serial::TypeInfoEntry entry{intro.type_name, {}, intro.assembly_name, intro.download_path};
+  return wire_map.insert_or_assign(intro.wire_id, std::move(entry)).second;
 }
 
 bool SessionTable::resolve(const std::string& from, std::uint64_t token,
@@ -138,11 +131,6 @@ void SessionTable::store_verdict(const std::string& from, std::uint64_t token,
   if (it == inbound_.end() || it->second.token != token) return;
   it->second.verdicts.insert_or_assign(root, InboundSession::StoredVerdict{
                                                  std::move(verdict), gen});
-}
-
-std::size_t SessionTable::outbound_sessions() const {
-  std::scoped_lock lock(outbound_mutex_);
-  return outbound_.size();
 }
 
 std::size_t SessionTable::inbound_sessions() const {

@@ -66,22 +66,21 @@ class SessionTable {
 
   struct SendPlan {
     std::uint64_t token = 0;
-    /// Wire ids parallel to the names passed to plan_send/plan_extras.
+    /// Wire ids parallel to the planned names.
     std::vector<std::uint32_t> wire_ids;
     /// Indexes into the names whose type still needs an inline intro.
     std::vector<std::size_t> fresh;
   };
 
-  /// Plans a push of `names` (envelope type set, root first) to `to`:
-  /// binds wire ids (allocating for unseen names) and reports which names
-  /// the receiver has not acknowledged yet.
-  SendPlan plan_send(const std::string& to, const std::vector<std::string>& names);
-
-  /// Same binding for extra closure names riding along under an existing
-  /// plan's token (supertypes, field types shipped so the receiver's
-  /// conformance check needs no nested fetch).
-  SendPlan plan_extras(const std::string& to, std::uint64_t token,
-                       const std::vector<std::string>& names);
+  /// Binds wire ids for `names` in the session to `to` (allocating for
+  /// unseen names) and reports which names the receiver has not
+  /// acknowledged yet. Token 0 plans a push's envelope type set (root
+  /// first), opening the session if needed. A nonzero token binds closure
+  /// extras riding along under that push (supertypes, field types shipped
+  /// so the receiver's check needs no nested fetch); when a reset replaced
+  /// that token, nothing is bound.
+  SendPlan plan(const std::string& to, const std::vector<std::string>& names,
+                std::uint64_t token = 0);
 
   /// Marks the planned names as introduced — call only after the receiver
   /// acknowledged the push with SessionStatus::Ok. A stale token (the
@@ -91,10 +90,15 @@ class SessionTable {
                    const std::vector<std::size_t>& fresh);
 
   /// Drops all outbound state for `to` (on SessionStatus::Reset): the next
-  /// plan_send starts a new token with every type fresh.
+  /// plan starts a new token with every type fresh.
   void reset_peer(const std::string& to);
 
   // ---- receiver side -----------------------------------------------
+
+  /// Wire-id bindings one inbound session may hold: far above an honest
+  /// closure (a warm_session pair introduces 16 types), so only a sender
+  /// binding fresh ids without end meets it.
+  static constexpr std::size_t kMaxInboundBindings = 4096;
 
   /// Ensures an inbound session for (`from`, `token`) exists, replacing
   /// any session under a different token and evicting the least recently
@@ -103,7 +107,9 @@ class SessionTable {
 
   /// Records one inline intro (idempotent; later intros for a known wire
   /// id win, which concurrent duplicate intros make identical anyway).
-  /// Returns true when the wire id was not known yet.
+  /// Returns true when the wire id was not known yet. An intro that would
+  /// bind past kMaxInboundBindings drops the session instead, so its push
+  /// meets unknown wire ids and is answered Reset.
   bool learn(const std::string& from, std::uint64_t token, const SessionIntro& intro);
 
   /// Resolves a push's wire ids to owned TypeInfoEntry copies. Returns
@@ -145,7 +151,6 @@ class SessionTable {
 
   // ---- introspection (tests/diagnostics) ---------------------------
 
-  [[nodiscard]] std::size_t outbound_sessions() const;
   [[nodiscard]] std::size_t inbound_sessions() const;
 
  private:

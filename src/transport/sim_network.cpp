@@ -5,8 +5,8 @@
 
 namespace pti::transport {
 
-std::unique_ptr<Transport> make_sim_network(std::uint64_t rng_seed) {
-  return std::make_unique<SimNetwork>(rng_seed);
+std::unique_ptr<Transport> make_sim_network(std::uint64_t seed) {
+  return std::make_unique<SimNetwork>(seed);
 }
 
 void SimNetwork::attach(std::string_view name, Handler handler) {

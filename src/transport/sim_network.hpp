@@ -40,7 +40,7 @@ namespace pti::transport {
 
 class SimNetwork final : public Transport {
  public:
-  explicit SimNetwork(std::uint64_t rng_seed = 42) : rng_(rng_seed) {}
+  explicit SimNetwork(std::uint64_t seed = 42) : rng_(seed) {}
 
   void attach(std::string_view name, Handler handler) override;
   void detach(std::string_view name) override;

@@ -165,6 +165,9 @@ constexpr std::size_t kMaxRun = 64;
 /// other. A larger frame is written only when nothing is unanswered.
 constexpr std::size_t kMaxUnansweredBytes = 64 * 1024;
 
+/// Listen backlog of the accept socket.
+constexpr int kListenBacklog = 64;
+
 /// Writes the frames back to back straight from their buffers (one sendmsg
 /// while the kernel takes them all) and returns how many were written whole:
 /// all of them unless the connection failed. MSG_NOSIGNAL keeps a closed peer
@@ -223,10 +226,9 @@ void set_nodelay(int fd) noexcept {
 SocketTransport::SocketTransport(SocketTransportConfig config)
     : config_(config),
       codec_(config.frame_limits),
-      link_model_(config.rng_seed),
       // Decorrelated from the drop stream so enabling backoff jitter never
       // perturbs which messages a drop_probability test kills.
-      dial_rng_(config.rng_seed ^ 0x9E3779B97F4A7C15ULL) {
+      dial_rng_(LinkCostModel::kSeed ^ 0x9E3779B97F4A7C15ULL) {
   if (config_.max_outbound == 0) {
     throw TransportError("SocketTransport needs max_outbound >= 1");
   }
@@ -249,7 +251,7 @@ SocketTransport::SocketTransport(SocketTransportConfig config)
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
   sockaddr_in addr = loopback_address(config_.port);
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(listen_fd_, config_.backlog) != 0) {
+      ::listen(listen_fd_, kListenBacklog) != 0) {
     const std::string reason = std::strerror(errno);
     ::close(listen_fd_);
     throw TransportError("cannot listen on 127.0.0.1:" + std::to_string(config_.port) +
@@ -318,12 +320,6 @@ SocketTransport::~SocketTransport() {
 void SocketTransport::add_route(std::string_view peer, std::uint16_t port) {
   std::unique_lock lock(routes_mutex_);
   routes_[std::string(peer)] = port;
-}
-
-void SocketTransport::remove_route(std::string_view peer) {
-  std::unique_lock lock(routes_mutex_);
-  const auto it = routes_.find(peer);
-  if (it != routes_.end()) routes_.erase(it);
 }
 
 void SocketTransport::detach(std::string_view name) {

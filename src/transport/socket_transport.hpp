@@ -127,10 +127,6 @@ struct SocketTransportConfig {
   Overflow overflow = Overflow::Block;
   /// Decode-side caps handed to the FrameCodec.
   serial::FrameLimits frame_limits{};
-  /// Seed of the shared RNG stream behind per-link drop_probability.
-  std::uint64_t rng_seed = 42;
-  /// Listen backlog of the accept socket.
-  int backlog = 64;
   /// Client connect attempts per dial: transient failures (ECONNREFUSED —
   /// the listener not accepting yet — and EAGAIN) are retried with capped
   /// exponential backoff + jitter up to this many attempts, then reported
@@ -169,7 +165,6 @@ class SocketTransport final : public Transport {
   /// `peer` dial 127.0.0.1:`port` instead of this transport's own
   /// listener. Replaces any previous route for the name.
   void add_route(std::string_view peer, std::uint16_t port);
-  void remove_route(std::string_view peer);
 
   void attach(std::string_view name, Handler handler) override {
     registry_.attach(name, std::move(handler));

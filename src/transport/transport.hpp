@@ -184,7 +184,7 @@ class Transport {
 
 /// Factory for the default simulated transport, so transport consumers
 /// (the core layer) never name the concrete SimNetwork type.
-[[nodiscard]] std::unique_ptr<Transport> make_sim_network(std::uint64_t rng_seed = 42);
+[[nodiscard]] std::unique_ptr<Transport> make_sim_network(std::uint64_t seed = 42);
 
 /// Shared accounting core of the in-process transports: charges one
 /// successful traversal (message count, bytes, latency + transmission

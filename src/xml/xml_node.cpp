@@ -49,12 +49,6 @@ XmlNode& XmlNode::add_child(XmlNode node) {
   return children_.back();
 }
 
-XmlNode& XmlNode::add_text_child(std::string name, std::string_view text) {
-  XmlNode& c = add_child(std::move(name));
-  c.set_text(std::string(text));
-  return c;
-}
-
 const XmlNode* XmlNode::child(std::string_view name) const noexcept {
   for (const auto& c : children_) {
     if (c.name() == name) return &c;

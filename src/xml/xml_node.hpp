@@ -54,8 +54,6 @@ class XmlNode {
   /// Appends an empty child element and returns a reference to it.
   XmlNode& add_child(std::string name);
   XmlNode& add_child(XmlNode node);
-  /// Convenience: append `<name>text</name>`.
-  XmlNode& add_text_child(std::string name, std::string_view text);
 
   /// First child with the given element name, or nullptr.
   [[nodiscard]] const XmlNode* child(std::string_view name) const noexcept;

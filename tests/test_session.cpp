@@ -16,6 +16,7 @@
 //     the reclamation pass that made it stale.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -37,6 +38,7 @@
 #include "transport/socket_transport.hpp"
 #include "transport/transport_error.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace pti {
@@ -724,6 +726,87 @@ TEST(SessionLayer, StuffedAcksCannotGrowTheIntroRegistry) {
   EXPECT_GE(next_hash, 5 * (kCap / 2 + 1));  // every ack was stuffed
 }
 
+TEST(SessionLayer, InboundSessionBindingsAreCapped) {
+  // A hostile sender binds fresh wire ids to the already-interned int32,
+  // which the name budget charges nothing. The intro that would pass the
+  // cap answers Reset and drops the inbound session, with every binding it
+  // held; a session at the cap still works.
+  SimNetwork net;
+  auto hub = std::make_shared<AssemblyHub>();
+  const PeerConfig config{.mode = ProtocolMode::Optimistic, .use_sessions = true};
+  Peer receiver("receiver", net, hub, config);
+  PeerQuotaConfig strict;
+  strict.max_new_names = 2;
+  net.set_default_peer_quota(strict);
+
+  constexpr std::size_t kCap = transport::SessionTable::kMaxInboundBindings;
+  const auto push = [&](std::uint64_t token, std::size_t intros) {
+    SessionPush flood;
+    flood.token = token;
+    flood.wire_types = {1};
+    flood.encoding = "binary";
+    for (std::size_t i = 0; i < intros; ++i) {
+      flood.intros.push_back(
+          SessionIntro{static_cast<std::uint32_t>(i + 1), "int32", "", "", ""});
+    }
+    Message reply = net.send(Message{"mallory", "receiver", std::move(flood)});
+    return std::get<SessionAck>(reply.payload).status;
+  };
+
+  EXPECT_EQ(push(7, kCap + 1), SessionStatus::Reset);
+  EXPECT_EQ(receiver.sessions().inbound_sessions(), 0u);
+  EXPECT_EQ(push(7, 0), SessionStatus::Reset) << "wire id 1 outlived the dropped session";
+  EXPECT_EQ(push(8, kCap), SessionStatus::Ok);
+  EXPECT_EQ(push(8, 0), SessionStatus::Ok);
+  EXPECT_EQ(receiver.stats().session_resets, 2u);
+}
+
+TEST(SessionLayer, AcksAdvertiseOnlyHeldDescriptions) {
+  // carol hosts the assembly alice sends from, so she already holds what
+  // alice's intros describe, and her ack advertises it. mallory's intro
+  // names a registered type but carries junk XML: carol never parses it,
+  // and its hash must appear neither in that push's ack nor in a later
+  // Reset ack, which carries everything carol holds.
+  SimNetwork net;
+  auto hub = std::make_shared<AssemblyHub>();
+  const PeerConfig config{.mode = ProtocolMode::Optimistic, .use_sessions = true};
+  Peer alice("alice", net, hub, config);
+  Peer carol("carol", net, hub, config);
+  const auto people = fixtures::team_a_people();
+  alice.host_assembly(people);
+  carol.host_assembly(people);
+  carol.add_interest("teamA.Person");
+
+  const reflect::Value args[] = {reflect::Value("Ada")};
+  const PushAck landed =
+      alice.send_object("carol", alice.domain().instantiate("teamA.Person", args));
+  ASSERT_TRUE(landed.delivered) << landed.detail;
+  EXPECT_EQ(hub->intro_registry().known_count("carol"), 3u);  // Person, Address, INamed
+
+  // mallory pushes an int32 (wire id 2), which carol rejects undecoded.
+  const auto mallory = [&](std::uint32_t wire_type, std::string xml) {
+    SessionPush push;
+    push.token = 9;
+    push.wire_types = {wire_type};
+    push.encoding = "binary";
+    push.intros.push_back(SessionIntro{1, "teamA.Person", std::move(xml), "", ""});
+    push.intros.push_back(SessionIntro{2, "int32", "", "", ""});
+    Message reply = net.send(Message{"mallory", "carol", std::move(push)});
+    return std::get<SessionAck>(reply.payload);
+  };
+  const std::string junk = "<junk>not a description</junk>";
+  const SessionAck ok = mallory(2, junk);
+  EXPECT_EQ(ok.status, SessionStatus::Ok);
+  EXPECT_TRUE(ok.known_desc_hashes.empty());
+
+  const SessionAck reset = mallory(99, junk);
+  EXPECT_EQ(reset.status, SessionStatus::Reset);
+  EXPECT_EQ(reset.known_desc_hashes.size(), 3u);
+  EXPECT_EQ(std::count(reset.known_desc_hashes.begin(), reset.known_desc_hashes.end(),
+                       util::fnv1a64(junk)),
+            0);
+}
+
 TEST(SessionLayer, AddInterestInvalidatesCachedRejects) {
   // A cached session REJECT must not survive a new interest: add_interest
   // bumps the verdict generation, so the next push re-runs conformance and
@@ -805,6 +888,57 @@ TEST(SessionLayer, GovernorSweepInvalidatesCachedVerdicts) {
   EXPECT_EQ(receiver.stats().session_verdict_hits, 1u);
   ASSERT_TRUE(push().delivered);
   EXPECT_EQ(receiver.stats().session_verdict_hits, 2u);
+}
+
+// SessionTable::plan: token 0 plans a push's envelope names, opening the
+// session if needed; a push's token binds its closure extras.
+
+TEST(SessionTablePlan, PlanUnderAReplacedTokenBindsNothing) {
+  transport::SessionTable table;
+  const auto push = table.plan("bob", {"a.Root"});
+  table.reset_peer("bob");
+  const auto raced = table.plan("bob", {"a.Extra"}, push.token);
+  EXPECT_EQ(raced.token, push.token);
+  EXPECT_TRUE(raced.wire_ids.empty());
+  EXPECT_TRUE(raced.fresh.empty());
+
+  // Nor does it bind in the session a later push opened.
+  const auto next = table.plan("bob", {"a.Root"});
+  ASSERT_NE(next.token, push.token);
+  EXPECT_TRUE(table.plan("bob", {"a.Extra"}, push.token).wire_ids.empty());
+  EXPECT_EQ(table.plan("bob", {"a.Extra"}, next.token).wire_ids,
+            (std::vector<std::uint32_t>{2}));
+}
+
+TEST(SessionTablePlan, ClosureExtrasCommitWithTheirPush) {
+  transport::SessionTable table;
+  const auto push = table.plan("bob", {"a.Root", "int32"});
+  EXPECT_EQ(push.wire_ids, (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(push.fresh, (std::vector<std::size_t>{0, 1}));
+  const auto extras = table.plan("bob", {"a.Super", "a.Field"}, push.token);
+  EXPECT_EQ(extras.token, push.token);
+  EXPECT_EQ(extras.wire_ids, (std::vector<std::uint32_t>{3, 4}));
+  EXPECT_EQ(extras.fresh, (std::vector<std::size_t>{0, 1}));
+
+  table.commit_send("bob", push.token, {"a.Root", "int32", "a.Super", "a.Field"},
+                    {0, 1, 2, 3});
+  const auto warm = table.plan("bob", {"a.Root", "a.Super", "a.Field"});
+  EXPECT_EQ(warm.token, push.token);
+  EXPECT_EQ(warm.wire_ids, (std::vector<std::uint32_t>{1, 3, 4}));
+  EXPECT_TRUE(warm.fresh.empty());
+}
+
+TEST(SessionTablePlan, ResetPeerStartsANewTokenWithEveryNameFresh) {
+  transport::SessionTable table;
+  const auto first = table.plan("bob", {"a.Root", "a.Leaf"});
+  table.commit_send("bob", first.token, {"a.Root", "a.Leaf"}, first.fresh);
+  EXPECT_TRUE(table.plan("bob", {"a.Root", "a.Leaf"}).fresh.empty());
+
+  table.reset_peer("bob");
+  const auto again = table.plan("bob", {"a.Root", "a.Leaf"});
+  EXPECT_NE(again.token, first.token);
+  EXPECT_EQ(again.wire_ids, (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(again.fresh, (std::vector<std::size_t>{0, 1}));
 }
 
 }  // namespace

@@ -78,19 +78,8 @@ stage 20 "ctest: debug preset" ctest --preset debug "${CTEST_JOBS[@]}"
 stage 30 "configure + build: tsan preset" build_preset tsan
 stage 40 "ctest: tsan preset" ctest --preset tsan "${CTEST_JOBS[@]}" "${TSAN_FILTER[@]}"
 
-# The endpoint registry owns exactly the synchronisation these tests
-# exercise (attach/detach, in-flight counts, drain, queue backpressure),
-# and so do SocketTransport's runs (a worker completing a run's callbacks
-# in order as its pipelined replies arrive); one pass misses rare
-# interleavings: a first-contact race once failed about one run in ten.
-# Same commands as CI's tsan leg.
-tsan_repeats() {
-  build-tsan/test_transport --gtest_repeat=50 --gtest_brief=1 \
-    --gtest_filter='EndpointContract*:SendAsyncContract*:AsyncTransportTest.*Detach*:AsyncTransportTest.*Backpressure*:AsyncTransportTest.HandlerContext*' && \
-  build-tsan/test_socket_transport --gtest_repeat=50 --gtest_brief=1 \
-    --gtest_filter='SocketTransport.*Backpressure*:SocketTransportRun.*'
-}
-stage 42 "tsan repeats: endpoint and send_async contracts, detach, backpressure, runs (50x)" tsan_repeats
+# The test list lives in tools/tsan_repeats.sh, which CI's tsan leg runs too.
+stage 42 "tsan repeats: endpoint and send_async contracts, detach, backpressure, runs (50x)" tools/tsan_repeats.sh
 stage 35 "configure + build: ubsan preset" build_preset ubsan
 stage 45 "ctest: ubsan preset" ctest --preset ubsan "${CTEST_JOBS[@]}"
 if [[ "${ASAN:-0}" == "1" ]]; then
@@ -116,27 +105,11 @@ scale_smoke() {
 }
 stage 90 "megasim scale smoke (10^4 peers, deterministic)" scale_smoke
 
-# The session equivalence gate: the session layer must produce the same
-# verdict/delivery stream as the cold protocol — in Release, where timing
-# differs most from the sanitizer builds above. Runs the differential
-# session suite plus every session-tagged equivalence sweep (the matcher
-# modes over every push shape, fixed-seed fuzz, megasim digests, the
-# megasim byte pins and LightweightPeer's Reset and Error paths), every
-# sockets-vs-simulator sweep (cold protocol and sessions), and the frame
-# codec suite with its pinned wire bytes and hostile-frame outcomes.
-session_equivalence() {
-  cmake --preset release > /dev/null && \
-    cmake --build --preset release "${BUILD_JOBS[@]}" \
-      --target test_session test_transport test_protocol_fuzz test_socket_transport test_sim \
-      test_frame_codec && \
-    build-bench/test_frame_codec && \
-    build-bench/test_session && \
-    build-bench/test_transport --gtest_filter='*MatcherMode*' && \
-    build-bench/test_protocol_fuzz --gtest_filter='ProtocolFuzz.SessionModeAgreesWithColdProtocol:ProtocolFuzz.BatchedSessionAgreesWithColdProtocol' && \
-    build-bench/test_socket_transport --gtest_filter='SocketTransportEquivalence.*' && \
-    build-bench/test_sim --gtest_filter='ScenarioEquivalence.SessionModeAgreesWhileWireCostCollapses:ScenarioEquivalence.BatchedSessionsReproduceTheVerdictStream:ScenarioEquivalence.SharedIntrosBeatColdOnAColdHeavyStorm:ScenarioEquivalence.InvertedIndexAndPerPeerScanProduceIdenticalRuns:ScenarioGolden.*:LightweightPeerSession.*'
-}
-stage 95 "session equivalence gate (Release differential suite)" session_equivalence
+# The session equivalence gate (Release): the session layer must produce
+# the same verdict/delivery stream as the cold protocol. The targets and
+# filters live in tools/session_equivalence.sh, which CI's
+# session-equivalence job runs too.
+stage 95 "session equivalence gate (Release differential suite)" tools/session_equivalence.sh
 
 # The bench-regression gate: every bench binary runs end to end at smoke
 # iteration counts and tools/check_bench_regression.py compares the
